@@ -456,12 +456,6 @@ impl FrontendPipeline {
     pub fn bubbles(&self) -> &BubbleProfile {
         &self.bubbles
     }
-
-    /// I-cache demand miss rate so far.
-    #[must_use]
-    pub fn icache_miss_rate(&self) -> f64 {
-        self.icache.miss_rate()
-    }
 }
 
 #[cfg(test)]
@@ -502,20 +496,24 @@ mod tests {
     #[test]
     fn multi_line_chunk_serializes_on_the_fetch_port() {
         let mut p = FrontendPipeline::new(PipelineParams::example());
-        // 90 uops span ~6 lines: port-limited (6 cycles) beats bandwidth
-        // on a single port... bandwidth is 15 cycles here, so use a short
-        // chunk spanning many lines via a large pc footprint instead.
-        let _ = p.fetch(0x4_0000, 6, 0.0, true); // warm nothing relevant
-        let start = p.fetch_clock();
-        // 6 uops but force a 4-line span by pc arithmetic: uops*4 = 24
-        // bytes -> 1-2 lines; the port bound only exceeds bw for spans
-        // > width/ports... with width 6 and 1 port, a 2-line chunk costs
-        // 2 cycles > 1 cycle of bandwidth.
-        let done = p.fetch(0x4_0040, 6, 0.0, true);
-        let _ = start;
-        let _ = done;
-        // Port pressure is visible through the events/clock monotonicity.
-        assert!(p.fetch_clock() >= start + 1.0);
+        // Warm both lines, so neither timed fetch stalls on a fill.
+        let _ = p.fetch(0x4_0048, 4, 0.0, true);
+        let _ = p.fetch(0x4_0070, 4, 0.0, true);
+        let warm_icache = p.bubbles().icache;
+        let cost = |p: &mut FrontendPipeline, pc: u64| {
+            let start = p.fetch_clock();
+            let done = p.fetch(pc, 4, 0.0, true);
+            assert_eq!(done, p.fetch_clock());
+            done - start
+        };
+        // Straddling a line boundary: 2 lines over 2 ports take a full
+        // cycle, more than the 4/6 cycle 4 uops need at width 6.
+        let straddling = cost(&mut p, 0x4_0048);
+        assert!((straddling - 1.0).abs() < 1e-12, "{straddling}");
+        // Inside one line the port is not the bound: bandwidth is.
+        let one_line = cost(&mut p, 0x4_0070);
+        assert!((one_line - 4.0 / 6.0).abs() < 1e-12, "{one_line}");
+        assert_eq!(p.bubbles().icache, warm_icache, "warm lines never stall");
     }
 
     #[test]

@@ -128,11 +128,11 @@ pub fn run_pipeline<M: PipelineModel>(
                 let mlp = if window_drained { 1 } else { config.mlp };
                 window_drained = false;
                 let mut stall = 0.0;
-                for addr in stream.accesses(chunk.pc, chunk.uops) {
+                stream.for_each_access(chunk.pc, chunk.uops, |addr| {
                     let (lat, _) = data.access(addr);
                     let beyond_l1 = lat.saturating_sub(m.l1d.hit_cycles) as f64;
                     stall += beyond_l1 / mlp as f64;
-                }
+                });
                 let _ = engine.fetch(chunk.pc, chunk.uops, stall, chunk.critiqued_at_fetch);
                 if chunk.btb_redirect {
                     engine.btb_redirect();

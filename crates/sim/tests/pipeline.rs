@@ -1,6 +1,6 @@
 //! Determinism pins for the stage-accurate pipeline engine: the cycle
-//! grid must be bit-identical for any worker-thread count, and a
-//! small-budget reference run is pinned byte-for-byte so that *any*
+//! grid must be bit-identical for any worker-thread count, and
+//! small-budget reference runs are pinned byte-for-byte so that *any*
 //! unintended change to the timing model (a reordered float add, a new
 //! stall term, a different recovery path) fails loudly instead of
 //! silently shifting every uPC figure.
@@ -8,6 +8,7 @@
 use prophet_critic::{Budget, CriticKind, HybridSpec, ProphetKind};
 use sim::experiments::common::{cycle_grid, representatives, ExpEnv};
 use sim::{run_cycles, run_cycles_trace, CycleConfig};
+use uarch::DataProfile;
 
 fn tiny() -> ExpEnv {
     ExpEnv {
@@ -136,5 +137,89 @@ fn small_budget_cycle_result_is_byte_pinned() {
                 icache: 2624.0, ftq_full: 15631.83333333317, \
                 ftq_empty: 5165.166666673981, window_full: 18887.83333333335, \
                 redirect: 1368.0, flush_restart: 6048.0 } }";
+    assert_eq!(got, want, "\nactual:\n{got}\n");
+}
+
+/// The gzip pin above runs a 1 MB working set that fits the 2 MB L2, so
+/// L2 evictions and deep prefetch streams barely run. These pins cover
+/// the two large data profiles and the trace-fed feed.
+fn pinned_hybrid() -> prophet_critic::Hybrid {
+    HybridSpec::paired(
+        ProphetKind::Gshare,
+        Budget::K4,
+        CriticKind::TaggedGshare,
+        Budget::K4,
+        4,
+    )
+    .build()
+}
+
+#[test]
+fn streaming_data_cycle_result_is_byte_pinned() {
+    let program = workloads::benchmark("swim").unwrap().program();
+    let r = run_cycles(
+        &program,
+        &mut pinned_hybrid(),
+        &CycleConfig::isca04()
+            .budget(30_000)
+            .seed(0x5EED)
+            .data(DataProfile::streaming()),
+    );
+    let got = format!("{r:?}");
+    let want = "CycleResult { benchmark: \"swim\", cycles: 48668.999999998254, \
+                committed_uops: 23992, final_mispredicts: 94, overrides: 6, \
+                fetched_uops: 95794, forced_critiques: 130, critiques: 6903, \
+                data_counts: (22310, 2342, 12266), bubbles: BubbleProfile { \
+                icache: 1808.0, ftq_full: 12376.166666669315, \
+                ftq_empty: 2342.166666666594, window_full: 13155.583333336142, \
+                redirect: 512.0, flush_restart: 1032.0 } }";
+    assert_eq!(got, want, "\nactual:\n{got}\n");
+}
+
+#[test]
+fn scattered_data_cycle_result_is_byte_pinned() {
+    let program = workloads::benchmark("tpcc").unwrap().program();
+    let r = run_cycles(
+        &program,
+        &mut pinned_hybrid(),
+        &CycleConfig::isca04()
+            .budget(30_000)
+            .seed(0x5EED)
+            .data(DataProfile::scattered()),
+    );
+    let got = format!("{r:?}");
+    let want = "CycleResult { benchmark: \"tpcc\", cycles: 362030.58333333884, \
+                committed_uops: 23995, final_mispredicts: 816, overrides: 960, \
+                fetched_uops: 427525, forced_critiques: 471, critiques: 55428, \
+                data_counts: (26404, 10366, 131782), bubbles: BubbleProfile { \
+                icache: 3120.0, ftq_full: 105911.33333331964, \
+                ftq_empty: 7604.0833333425, window_full: 139325.74999998682, \
+                redirect: 3526.0, flush_restart: 8584.0 } }";
+    assert_eq!(got, want, "\nactual:\n{got}\n");
+}
+
+#[test]
+fn trace_fed_cycle_result_is_byte_pinned() {
+    let bench = workloads::benchmark("swim").unwrap();
+    let mut bt = Vec::new();
+    replay::record_trace(&bench.program(), bench.seed, 40_000, &mut bt).unwrap();
+    let mut reader = bptrace::BtReader::new(bt.as_slice()).unwrap();
+    let mut predictor = predictors::configs::bc_gskew(predictors::configs::Budget::K16);
+    let r = run_cycles_trace(
+        &mut reader,
+        &mut predictor,
+        &CycleConfig::isca04()
+            .budget(30_000)
+            .seed(bench.seed)
+            .data(DataProfile::streaming()),
+    );
+    let got = format!("{r:?}");
+    let want = "CycleResult { benchmark: \"swim\", cycles: 28475.250000000768, \
+                committed_uops: 24001, final_mispredicts: 40, overrides: 0, \
+                fetched_uops: 43634, forced_critiques: 0, critiques: 0, \
+                data_counts: (7239, 1557, 7926), bubbles: BubbleProfile { \
+                icache: 352.0, ftq_full: 15749.916666665538, ftq_empty: 392.0, \
+                window_full: 16387.499999998745, redirect: 64.0, \
+                flush_restart: 424.0 } }";
     assert_eq!(got, want, "\nactual:\n{got}\n");
 }

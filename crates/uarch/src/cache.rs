@@ -2,83 +2,100 @@
 //!
 //! Table 2's memory system: 64 KB I-cache, 32 KB L1D (3-cycle), 2 MB L2
 //! (16-cycle), 100 ns memory, and a 16-stream hardware data prefetcher.
+//!
+//! The cycle model runs the data side on every fetched chunk, wrong paths
+//! included, so each level keeps its tags in one flat, set-major array and
+//! no access allocates.
 
 use crate::params::{CacheParams, MachineParams};
 
+/// Marks an empty way. A real tag drops the address's line offset and set
+/// index bits, at least one of them, so it never reaches this value.
+const INVALID: u64 = u64::MAX;
+
 /// One set-associative cache level with true-LRU replacement.
+///
+/// Each set is a run of `ways` tags in recency order, most recently used
+/// first, with empty ways at the end. A hit moves its tag to the front; a
+/// miss shifts the whole set back one way, dropping the last way (an empty
+/// one while the set is filling, the LRU line once it is full), and puts
+/// the new tag at the front.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// tag storage: sets × ways of (valid, tag, lru)
-    sets: Vec<Vec<(bool, u64, u64)>>,
+    /// `sets × ways` tags, set-major.
+    tags: Vec<u64>,
+    ways: usize,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
 
 impl Cache {
     /// Builds a cache from its parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has no power-of-two set count, or neither a
+    /// line offset nor a set index to take from the address (its tags
+    /// would need every `u64` value).
     #[must_use]
     pub fn new(p: &CacheParams) -> Self {
         let sets = p.sets();
+        let line_shift = p.line_bytes.trailing_zeros();
+        let set_bits = sets.trailing_zeros();
+        assert!(
+            line_shift + set_bits > 0,
+            "full-width tags leave no value free to mark empty ways"
+        );
         Self {
-            sets: vec![vec![(false, 0, 0); p.ways]; sets],
-            line_shift: p.line_bytes.trailing_zeros(),
+            tags: vec![INVALID; sets * p.ways],
+            ways: p.ways,
+            line_shift,
+            set_bits,
             set_mask: (sets - 1) as u64,
-            clock: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    /// The tags of `addr`'s set, and its tag.
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.sets.len().trailing_zeros(),
-        )
+        let start = (line & self.set_mask) as usize * self.ways;
+        (start..start + self.ways, line >> self.set_bits)
     }
 
     /// Accesses `addr`; returns whether it hit. Misses allocate the line.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|(v, t, _)| *v && *t == tag) {
-            w.2 = self.clock;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(v, _, lru)| (*v, *lru))
-            .expect("cache has ways");
-        *victim = (true, tag, self.clock);
-        false
+        let ways = &mut self.tags[set];
+        let found = ways.iter().position(|&t| t == tag);
+        ways.copy_within(..found.unwrap_or(ways.len() - 1), 1);
+        ways[0] = tag;
+        let hit = found.is_some();
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
-    /// Installs a line without counting an access (prefetch fill).
+    /// Installs a line without counting an access (prefetch fill). A line
+    /// already resident keeps its place in the recency order.
     pub fn fill(&mut self, addr: u64) {
-        self.clock += 1;
         let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if ways.iter().any(|(v, t, _)| *v && *t == tag) {
-            return;
+        let ways = &mut self.tags[set];
+        if !ways.contains(&tag) {
+            ways.copy_within(..ways.len() - 1, 1);
+            ways[0] = tag;
         }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(v, _, lru)| (*v, *lru))
-            .expect("cache has ways");
-        *victim = (true, tag, self.clock);
     }
 
     /// Whether `addr` is resident (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
-        self.sets[set].iter().any(|(v, t, _)| *v && *t == tag)
+        self.tags[set].contains(&tag)
     }
 
     /// Demand hits so far.
@@ -91,17 +108,6 @@ impl Cache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Demand miss rate.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
     }
 }
 
@@ -126,8 +132,9 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Observes a demand line address; returns lines to prefetch.
-    fn observe(&mut self, line: u64) -> Vec<u64> {
+    /// Observes a demand line address; returns how many of the lines after
+    /// it to prefetch.
+    fn observe(&mut self, line: u64) -> u64 {
         self.clock += 1;
         // Existing stream one line behind?
         if let Some(s) = self
@@ -141,9 +148,9 @@ impl StreamPrefetcher {
             if s.1 >= 2 {
                 let depth = u64::from(s.1.min(4));
                 self.issued += depth;
-                return (1..=depth).map(|d| line + d).collect();
+                return depth;
             }
-            return Vec::new();
+            return 0;
         }
         // Allocate a new stream over the LRU slot.
         let slot = self
@@ -152,7 +159,7 @@ impl StreamPrefetcher {
             .min_by_key(|(_, _, age)| *age)
             .expect("prefetcher has streams");
         *slot = (line, 0, self.clock);
-        Vec::new()
+        0
     }
 }
 
@@ -179,7 +186,6 @@ pub struct Hierarchy {
     pub_l1_hits: u64,
     pub_l2_hits: u64,
     pub_mem: u64,
-    stall_cycles: u64,
 }
 
 impl Hierarchy {
@@ -196,7 +202,6 @@ impl Hierarchy {
             pub_l1_hits: 0,
             pub_l2_hits: 0,
             pub_mem: 0,
-            stall_cycles: 0,
         }
     }
 
@@ -208,16 +213,15 @@ impl Hierarchy {
         }
         // The prefetcher observes the full L2 access stream (hits included,
         // so a stream keeps training once its own prefetches start hitting).
-        for line in self.prefetcher.observe(addr >> 6) {
-            self.l2.fill(line << 6);
+        let line = addr >> 6;
+        for d in 1..=self.prefetcher.observe(line) {
+            self.l2.fill((line + d) << 6);
         }
         if self.l2.access(addr) {
             self.pub_l2_hits += 1;
-            self.stall_cycles += self.l2_hit - self.l1_hit;
             return (self.l2_hit, AccessLevel::L2);
         }
         self.pub_mem += 1;
-        self.stall_cycles += self.mem_lat - self.l1_hit;
         (self.mem_lat, AccessLevel::Memory)
     }
 
@@ -225,15 +229,6 @@ impl Hierarchy {
     #[must_use]
     pub fn counts(&self) -> (u64, u64, u64) {
         (self.pub_l1_hits, self.pub_l2_hits, self.pub_mem)
-    }
-
-    /// Bubble bookkeeping: total latency cycles beyond an L1 hit incurred
-    /// by demand accesses so far — the raw (un-overlapped) data-stall
-    /// exposure the pipeline model divides by its memory-level-parallelism
-    /// factor.
-    #[must_use]
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
     }
 
     /// Prefetch lines issued so far.
@@ -300,8 +295,7 @@ mod tests {
         let (l1, lvl) = h.access(0x10_0000);
         assert_eq!(lvl, AccessLevel::L1);
         assert_eq!(l1, 3);
-        // Bubble bookkeeping: one memory access beyond L1, one free hit.
-        assert_eq!(h.stall_cycles(), 380 - 3);
+        assert_eq!(h.counts(), (1, 0, 1));
     }
 
     #[test]

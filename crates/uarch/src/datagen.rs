@@ -7,6 +7,9 @@
 //! hierarchy and prefetcher see realistic locality structure that differs
 //! by benchmark.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Per-program data-side character.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct DataProfile {
@@ -58,12 +61,38 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The hasher of the per-block counter map, whose keys are already
+/// `mix`ed: it passes a `u64` key through unchanged. Block keys are
+/// branch addresses of a synthetic program or of an operator's trace
+/// corpus, never input from a network client, so the map needs no
+/// protection against keys crafted to collide.
+#[derive(Default)]
+struct MixedKeyHasher(u64);
+
+impl Hasher for MixedKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Deterministic per-block data-address generator.
 #[derive(Clone, Debug)]
 pub struct DataStream {
     profile: DataProfile,
-    /// Per-block iteration counters (position in the block's array walk).
-    counters: std::collections::HashMap<u64, u64>,
+    /// Per-block iteration counters (position in the block's array walk),
+    /// keyed by the block key's `mix`: a bijection, so each block still
+    /// owns exactly one counter.
+    counters: HashMap<u64, u64, BuildHasherDefault<MixedKeyHasher>>,
     base: u64,
 }
 
@@ -73,37 +102,37 @@ impl DataStream {
     pub fn new(profile: DataProfile, seed: u64) -> Self {
         Self {
             profile,
-            counters: std::collections::HashMap::new(),
+            counters: HashMap::default(),
             base: 0x1000_0000 ^ (seed << 12),
         }
     }
 
-    /// Yields the data addresses a block of `uops` uops issues on this
-    /// visit. `block_key` identifies the static block (e.g. its terminator
-    /// pc).
-    pub fn accesses(&mut self, block_key: u64, uops: u64) -> Vec<u64> {
+    /// Passes `f` each data address, in order, that a block of `uops` uops
+    /// issues on this visit. `block_key` identifies the static block (e.g.
+    /// its terminator pc).
+    pub fn for_each_access(&mut self, block_key: u64, uops: u64, mut f: impl FnMut(u64)) {
         let n = uops / u64::from(self.profile.uops_per_access.max(1));
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let h = mix(block_key);
         let streaming = (h % 1000) < u64::from(self.profile.streaming_permille);
-        let iter = self.counters.entry(block_key).or_insert(0);
+        let iter = self.counters.entry(h).or_insert(0);
         let ws = self.profile.working_set.max(4096);
-        let mut out = Vec::with_capacity(n as usize);
-        for k in 0..n {
-            let addr = if streaming {
-                // Sequential walk over a per-block array region.
-                let region = (h >> 10) % 64;
-                self.base + region * (ws / 64) + ((*iter * n + k) * 8) % (ws / 64)
-            } else {
-                // Hash-scattered over the working set (pointer chase).
-                self.base + mix(h ^ (*iter * n + k)) % ws
-            };
-            out.push(addr);
-        }
+        let first = *iter * n;
         *iter += 1;
-        out
+        if streaming {
+            // Sequential walk over a per-block array region.
+            let region = self.base + (h >> 10) % 64 * (ws / 64);
+            for k in first..first + n {
+                f(region + (k * 8) % (ws / 64));
+            }
+        } else {
+            // Hash-scattered over the working set (pointer chase).
+            for k in first..first + n {
+                f(self.base + mix(h ^ k) % ws);
+            }
+        }
     }
 }
 
@@ -111,11 +140,17 @@ impl DataStream {
 mod tests {
     use super::*;
 
+    fn accesses(d: &mut DataStream, block_key: u64, uops: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        d.for_each_access(block_key, uops, |a| out.push(a));
+        out
+    }
+
     #[test]
     fn access_count_scales_with_uops() {
         let mut d = DataStream::new(DataProfile::resident(), 1);
-        assert_eq!(d.accesses(0x100, 9).len(), 3);
-        assert_eq!(d.accesses(0x100, 2).len(), 0);
+        assert_eq!(accesses(&mut d, 0x100, 9).len(), 3);
+        assert_eq!(accesses(&mut d, 0x100, 2).len(), 0);
     }
 
     #[test]
@@ -126,8 +161,8 @@ mod tests {
             uops_per_access: 3,
         };
         let mut d = DataStream::new(profile, 1);
-        let a = d.accesses(0x40, 30);
-        let b = d.accesses(0x40, 30);
+        let a = accesses(&mut d, 0x40, 30);
+        let b = accesses(&mut d, 0x40, 30);
         // Consecutive visits continue the walk: first address of b follows
         // the last address of a by one stride.
         assert_eq!(b[0], a.last().unwrap() + 8);
@@ -142,7 +177,7 @@ mod tests {
             uops_per_access: 3,
         };
         let mut d = DataStream::new(profile, 1);
-        let a = d.accesses(0x40, 30);
+        let a = accesses(&mut d, 0x40, 30);
         let far = a.windows(2).filter(|w| w[0].abs_diff(w[1]) > 4096).count();
         assert!(far >= a.len() / 2, "scattered accesses should be far apart");
     }
@@ -151,6 +186,6 @@ mod tests {
     fn generator_is_deterministic() {
         let mut d1 = DataStream::new(DataProfile::scattered(), 9);
         let mut d2 = DataStream::new(DataProfile::scattered(), 9);
-        assert_eq!(d1.accesses(0x77, 24), d2.accesses(0x77, 24));
+        assert_eq!(accesses(&mut d1, 0x77, 24), accesses(&mut d2, 0x77, 24));
     }
 }
