@@ -229,7 +229,7 @@ impl Response {
     pub fn from_error(err: &HttpError) -> Self {
         let mut resp = Self::json(
             err.status,
-            format!("{{\"error\": \"{}\"}}\n", crate::json::escape(&err.message)),
+            format!("{{\"error\": \"{}\"}}\n", sim::json::escape(&err.message)),
         );
         if err.status == 503 {
             resp = resp.with_header("Retry-After", "1");

@@ -168,8 +168,8 @@ fn summary_json(s: &RequestSummary) -> String {
     let mut obj = format!(
         "{{\"endpoint\": \"{}\", \"subject\": \"{}\", \"status\": {}, \"latency_us\": {}, \
          \"cells_hit\": {}, \"cells_missed\": {}",
-        crate::json::escape(&s.endpoint),
-        crate::json::escape(&s.subject),
+        sim::json::escape(&s.endpoint),
+        sim::json::escape(&s.subject),
         s.status,
         s.latency.as_micros().min(u128::from(u64::MAX)),
         s.cells_hit,
@@ -233,25 +233,23 @@ mod tests {
         let m = Metrics::default();
         m.cache_hits.fetch_add(7, Ordering::Relaxed);
         m.record(summary(200, 1));
-        let doc = crate::json::parse(m.to_json().as_bytes()).expect("valid metrics json");
+        let doc = sim::json::parse(m.to_json().as_bytes()).expect("valid metrics json");
         assert_eq!(
-            doc.get("schema").and_then(crate::json::Json::as_str),
+            doc.get("schema").and_then(sim::json::Json::as_str),
             Some("serve_metrics_v1")
         );
         let cells = doc.get("cells").expect("cells section");
         assert_eq!(
-            cells.get("cache_hits").and_then(crate::json::Json::as_u64),
+            cells.get("cache_hits").and_then(sim::json::Json::as_u64),
             Some(7)
         );
         let recent = doc
             .get("recent")
-            .and_then(crate::json::Json::as_array)
+            .and_then(sim::json::Json::as_array)
             .expect("recent ring");
         assert_eq!(recent.len(), 1);
         assert_eq!(
-            recent[0]
-                .get("endpoint")
-                .and_then(crate::json::Json::as_str),
+            recent[0].get("endpoint").and_then(sim::json::Json::as_str),
             Some("/v1/predict")
         );
     }

@@ -32,6 +32,7 @@ use sim::experiments::common::{
 use sim::experiments::tracecmp::{conventional_lineup, size_label};
 use sim::experiments::upc::suite_data_profile;
 use sim::experiments::{h2p, headline, tracecmp, tune};
+use sim::json::{self, Json};
 use sim::table::Table;
 use sim::{
     par_map, run_accuracy, run_cycles, run_cycles_trace, AccuracyResult, CycleConfig, CycleResult,
@@ -40,7 +41,6 @@ use sim::{
 use workloads::Benchmark;
 
 use crate::http::{HttpError, Request, Response};
-use crate::json::{self, Json};
 use crate::metrics::RequestSummary;
 use crate::state::{CellCounts, CorpusState, ServerState};
 

@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serve::json::{self, Json};
 use serve::{ServeConfig, Server, ServerState};
 use sim::experiments::common::run_matrix_checked;
 use sim::experiments::ExpEnv;
+use sim::json::{self, Json};
 use sim::store::CellStore;
 
 /// A fresh temp dir for one test.

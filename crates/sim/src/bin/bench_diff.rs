@@ -15,7 +15,9 @@
 //! `0` no drift, `1` drift beyond tolerance, `2` usage error, `3` bad
 //! input (missing, empty, or unparseable report / store). A missing or
 //! truncated artifact gets a one-line diagnostic naming the file and the
-//! problem, never a panic.
+//! problem, never a panic. Reports parse through [`sim::json`], whose
+//! depth cap turns even a pathologically nested file into that
+//! diagnostic rather than a stack overflow.
 //!
 //! `--store` diffs two incremental cell stores (see `sim::store`)
 //! field-by-field instead of two JSON reports: cells are matched by
@@ -35,181 +37,13 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use sim::json::{parse, Json};
 use sim::{decode_numeric, CellStore};
 
 /// Exit code for inputs that could not be read or parsed (distinct from
 /// drift = 1 and usage = 2, so CI can distinguish "results regressed"
 /// from "artifact never materialised").
 const EXIT_BAD_INPUT: u8 = 3;
-
-/// A minimal JSON value — the reports are written by this workspace, so
-/// the parser favours clarity over completeness (no escapes beyond
-/// `\"`/`\\`, which is all the writers emit).
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool),
-            b'f' => self.literal("false", Json::Bool),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escaped = self
-                        .bytes
-                        .get(self.pos + 1)
-                        .copied()
-                        .ok_or("dangling escape")?;
-                    out.push(char::from(escaped));
-                    self.pos += 2;
-                }
-                Some(b) => {
-                    out.push(char::from(b));
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
 
 /// Whether a numeric field is a result metric worth diffing.
 fn is_metric(key: &str) -> bool {
@@ -286,7 +120,7 @@ fn load_report(path: &str) -> Result<Vec<(String, f64)>, String> {
             "bench_diff: {path} is empty (interrupted run or truncated write?)"
         ));
     }
-    let v = parse(&text).map_err(|err| format!("bench_diff: {path}: {err}"))?;
+    let v = parse(text.as_bytes()).map_err(|err| format!("bench_diff: {path}: {err}"))?;
     let mut m = Vec::new();
     metrics(&v, "", &mut m);
     Ok(m)
@@ -403,7 +237,7 @@ mod tests {
     #[test]
     fn parses_a_report_shape() {
         let v = parse(
-            r#"{"schema": "x", "ranking": [{"configuration": "a", "misp_per_kuops": 1.5, "upc": 2.0}], "headline": null}"#,
+            br#"{"schema": "x", "ranking": [{"configuration": "a", "misp_per_kuops": 1.5, "upc": 2.0}], "headline": null}"#,
         )
         .unwrap();
         let mut m = Vec::new();
@@ -416,7 +250,7 @@ mod tests {
 
     #[test]
     fn environment_fields_are_ignored() {
-        let v = parse(r#"{"threads": 8, "total_wall_clock_seconds": 3.2, "upc": 1.0}"#).unwrap();
+        let v = parse(br#"{"threads": 8, "total_wall_clock_seconds": 3.2, "upc": 1.0}"#).unwrap();
         let mut m = Vec::new();
         metrics(&v, "", &mut m);
         assert_eq!(m.len(), 1);
@@ -426,9 +260,9 @@ mod tests {
     #[test]
     fn label_matching_survives_reordering() {
         let a =
-            parse(r#"{"r": [{"bench": "x", "misp": 1.0}, {"bench": "y", "misp": 2.0}]}"#).unwrap();
+            parse(br#"{"r": [{"bench": "x", "misp": 1.0}, {"bench": "y", "misp": 2.0}]}"#).unwrap();
         let b =
-            parse(r#"{"r": [{"bench": "y", "misp": 2.0}, {"bench": "x", "misp": 1.0}]}"#).unwrap();
+            parse(br#"{"r": [{"bench": "y", "misp": 2.0}, {"bench": "x", "misp": 1.0}]}"#).unwrap();
         let (mut ma, mut mb) = (Vec::new(), Vec::new());
         metrics(&a, "", &mut ma);
         metrics(&b, "", &mut mb);

@@ -4,7 +4,6 @@
 //! experiments [--csv DIR] [--threads N] [--json FILE]
 //!             [--store DIR | --resume] <id>... | all | list
 //! experiments --list
-//! experiments serve [serve args...]
 //!
 //!   SCALE=2              double the per-benchmark uop budget
 //!   EXP_BENCH=all        sweep all 110 benchmarks instead of 2 per suite
@@ -35,11 +34,6 @@
 //! under a content hash, so a killed run picks up where it left off —
 //! re-runs recompute only the missing cells and produce byte-identical
 //! artifacts.
-//!
-//! `experiments serve ...` hands off to the `serve` binary (built from
-//! `crates/serve`, expected next to this executable): the long-running
-//! prediction service whose result cache is the same cell store — see
-//! `docs/SERVING.md`.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -58,7 +52,6 @@ fn usage() -> ! {
          <id>... | all | list"
     );
     eprintln!("       experiments --list   (enumerate experiments and benchmarks)");
-    eprintln!("       experiments serve [args...]   (prediction service; see docs/SERVING.md)");
     eprintln!("experiments:");
     for e in all() {
         eprintln!("  {:<8} {}", e.id, e.title);
@@ -116,10 +109,6 @@ struct Timing {
     seconds: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_report(
     path: &str,
     env: &ExpEnv,
@@ -137,7 +126,7 @@ fn write_report(
         let comma = if i + 1 < timings.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"wall_clock_seconds\": {:.3}}}{comma}\n",
-            json_escape(t.id),
+            sim::json::escape(t.id),
             t.seconds
         ));
     }
@@ -177,50 +166,8 @@ fn write_report(
     std::fs::write(path, out)
 }
 
-/// Hands `experiments serve ...` off to the sibling `serve` binary.
-///
-/// `serve` lives in `crates/serve`, which depends on `sim` — linking it
-/// in here would be a dependency cycle, so the subcommand runs the
-/// binary that cargo placed next to this one instead. On Unix it
-/// `exec`s, replacing this process: signals (`SIGTERM` for the graceful
-/// drain) and the exit code then belong to the server itself, with no
-/// wrapper process left to orphan it.
-fn delegate_serve(args: &[String]) -> ! {
-    let serve_bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("serve")))
-        .filter(|p| p.exists());
-    let Some(serve_bin) = serve_bin else {
-        eprintln!(
-            "experiments serve: no `serve` binary next to this executable; \
-             build it with `cargo build -p serve`"
-        );
-        std::process::exit(2);
-    };
-    let mut cmd = std::process::Command::new(&serve_bin);
-    cmd.args(args);
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::CommandExt;
-        let err = cmd.exec();
-        eprintln!("experiments serve: exec {}: {err}", serve_bin.display());
-        std::process::exit(2);
-    }
-    #[cfg(not(unix))]
-    {
-        let status = cmd.status().unwrap_or_else(|e| {
-            eprintln!("experiments serve: running {}: {e}", serve_bin.display());
-            std::process::exit(2);
-        });
-        std::process::exit(status.code().unwrap_or(1));
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "serve") {
-        delegate_serve(&args[1..]);
-    }
     if args.iter().any(|a| a == "--list") {
         print_inventory();
         return;

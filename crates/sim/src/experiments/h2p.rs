@@ -511,8 +511,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             let comma = if i + 1 < failures.len() { "," } else { "" };
             json.push_str(&format!(
                 "    {{\"label\": \"{}\", \"reason\": \"{}\"}}{comma}\n",
-                crate::table::json_escape(&f.label),
-                crate::table::json_escape(&f.reason)
+                crate::json::escape(&f.label),
+                crate::json::escape(&f.reason)
             ));
         }
         json.push_str("  ]\n");
@@ -536,6 +536,7 @@ pub fn run(env: &ExpEnv) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn h2p_covers_the_fast_set_and_reconciles() {
@@ -547,8 +548,14 @@ mod tests {
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].rows.len(), 14, "one row per fast-set bench");
         assert_eq!(tables[1].rows.len(), 14, "one ablation row per bench");
-        assert!(json.contains("\"schema\": \"bench_h2p_v2\""));
-        assert!(json.contains("\"tage_h2p_misp\""));
+        let doc = crate::json::parse(json.as_bytes()).expect("BENCH_h2p.json parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("bench_h2p_v2")
+        );
+        let rows = doc.get("benches").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 14, "one report row per fast-set bench");
+        assert!(rows.iter().all(|r| r.get("tage_h2p_misp").is_some()));
         // The per-bench totals cover the flagged population: every listed
         // worst static's counts are bounded by its bench totals.
         let benches = h2p_benches(&env);

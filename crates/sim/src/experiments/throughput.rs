@@ -45,8 +45,9 @@ use replay::{
 
 use crate::experiments::common::ExpEnv;
 use crate::experiments::tracecmp::{conventional_lineup, size_label};
+use crate::json::escape;
 use crate::runner::par_map;
-use crate::table::{f2, json_escape, Table};
+use crate::table::{f2, Table};
 
 /// Default path of the machine-readable throughput report.
 pub const JSON_PATH: &str = "BENCH_throughput.json";
@@ -373,7 +374,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             "    {{\"configuration\": \"{}\", \"predictions\": {}, \"mispredicts\": {}, \
              \"misp_per_kuops\": {:.4}, \"scalar_preds_per_sec\": {:.0}, \
              \"batched_preds_per_sec\": {:.0}, \"speedup\": {:.3}}}{comma}\n",
-            json_escape(&r.label),
+            escape(&r.label),
             r.predictions,
             r.mispredicts,
             r.misp_per_kuops,
@@ -417,6 +418,7 @@ pub fn run(env: &ExpEnv) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn throughput_report_covers_the_lineup_and_gates_equivalence() {
@@ -427,7 +429,13 @@ mod tests {
         let (tables, json) = run_with_report(&env);
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows.len(), conventional_lineup().len());
-        assert!(json.contains("\"schema\": \"bench_throughput_v2\""));
+        let doc = crate::json::parse(json.as_bytes()).expect("BENCH_throughput.json parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("bench_throughput_v2")
+        );
+        let predictors = doc.get("predictors").and_then(Json::as_array).unwrap();
+        assert_eq!(predictors.len(), conventional_lineup().len());
         // Every row carries predictions and strictly positive rates.
         for row in &tables[0].rows {
             let predictions: u64 = row[1].parse().unwrap();
@@ -439,8 +447,8 @@ mod tests {
         // The decode section: one row per format, v2 strictly smaller,
         // and the JSON carries the section.
         assert_eq!(tables[1].rows.len(), 2);
-        assert!(json.contains("\"decode\": {"));
-        assert!(json.contains("\"compression_ratio\""));
+        let ratio = doc.get("decode").and_then(|d| d.get("compression_ratio"));
+        assert!(matches!(ratio, Some(Json::Num(r)) if *r > 1.0), "{ratio:?}");
         let v1_bytes: u64 = tables[1].rows[0][1].parse().unwrap();
         let v2_bytes: u64 = tables[1].rows[1][1].parse().unwrap();
         assert!(

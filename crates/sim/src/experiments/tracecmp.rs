@@ -65,9 +65,10 @@ use crate::experiments::common::{
     accuracy_cell_key, cached, cycle_cell_key, cycle_cfg, replay_cell_key, trace_cycle_cell_key,
     ExpEnv,
 };
+use crate::json::escape;
 use crate::metrics::AccuracyResult;
 use crate::runner::{par_map, try_par_map, CellFailure};
-use crate::table::{f2, json_escape, pct, Table};
+use crate::table::{f2, pct, Table};
 
 /// Default path of the machine-readable tournament report.
 pub const JSON_PATH: &str = "BENCH_tracecmp.json";
@@ -501,7 +502,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             "    {{\"rank\": {}, \"configuration\": \"{}\", \"path\": \"{}\", \
              \"misp_per_kuops\": {:.4}, \"mispredict_percent\": {:.4}, \"upc\": {:.4}}}{comma}\n",
             i + 1,
-            e.label.replace('"', "\\\""),
+            escape(&e.label),
             e.path,
             e.misp_per_kuops,
             e.mispredict_percent,
@@ -514,8 +515,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         let comma = if i + 1 < quarantine.len() { "," } else { "" };
         json.push_str(&format!(
             "\n    {{\"trace\": \"{}\", \"reason\": \"{}\"}}{comma}",
-            json_escape(&q.trace),
-            json_escape(&q.reason)
+            escape(&q.trace),
+            escape(&q.reason)
         ));
     }
     json.push_str(if quarantine.is_empty() {
@@ -528,8 +529,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         let comma = if i + 1 < failures.len() { "," } else { "" };
         json.push_str(&format!(
             "\n    {{\"label\": \"{}\", \"reason\": \"{}\"}}{comma}",
-            json_escape(&f.label),
-            json_escape(&f.reason)
+            escape(&f.label),
+            escape(&f.reason)
         ));
     }
     json.push_str(if failures.is_empty() {
@@ -556,6 +557,7 @@ pub fn run(env: &ExpEnv) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn lineups_are_sized_sanely() {
@@ -598,9 +600,15 @@ mod tests {
             .map(|r| r[3].parse::<f64>().unwrap())
             .collect();
         assert!(rates.windows(2).all(|w| w[0] <= w[1]), "{rates:?}");
-        // One H2P row per trace, and a parseable-looking report.
+        // One H2P row per trace, and a report that parses whole.
         assert_eq!(tables[1].rows.len(), 14);
-        assert!(json.contains("\"schema\": \"bench_tracecmp_v3\""));
+        let doc = crate::json::parse(json.as_bytes()).expect("BENCH_tracecmp.json parses");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("bench_tracecmp_v3")
+        );
+        let ranking = doc.get("ranking").and_then(Json::as_array).unwrap();
+        assert_eq!(ranking.len(), expected);
         // Clean run: both robustness sections present and empty.
         assert!(json.contains("\"quarantine\": []"));
         assert!(json.contains("\"failed_cells\": []"));

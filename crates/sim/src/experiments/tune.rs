@@ -21,6 +21,7 @@
 use prophet_critic::HybridSpec;
 
 use crate::experiments::common::ExpEnv;
+use crate::json::escape;
 use crate::table::{f2, pct, Table};
 use crate::tune::{
     baseline_spec, h2p_slices, run_search_on, untuned_default, H2pObjective, H2pSlice, TuneCell,
@@ -64,10 +65,6 @@ pub fn h2p_objective_from_env(env: &ExpEnv) -> Option<H2pObjective> {
     Some(H2pObjective::new(weight, per_bench))
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn cell_json(cell: &TuneCell, rank: usize, indent: &str) -> String {
     let spec = &cell.spec;
     let mut out = String::new();
@@ -75,7 +72,7 @@ fn cell_json(cell: &TuneCell, rank: usize, indent: &str) -> String {
     out.push_str(&format!("{indent}  \"rank\": {rank},\n"));
     out.push_str(&format!(
         "{indent}  \"configuration\": \"{}\",\n",
-        json_escape(&spec.label())
+        escape(&spec.label())
     ));
     out.push_str(&format!(
         "{indent}  \"prophet\": \"{}\", \"prophet_budget\": \"{}\",\n",
@@ -134,7 +131,7 @@ pub fn report_json(outcome: &TuneOutcome, slices: &[H2pSlice], env: &ExpEnv) -> 
             let per_bench = obj
                 .per_bench
                 .iter()
-                .map(|(n, w)| format!("{{\"bench\": \"{}\", \"weight\": {w:.4}}}", json_escape(n)))
+                .map(|(n, w)| format!("{{\"bench\": \"{}\", \"weight\": {w:.4}}}", escape(n)))
                 .collect::<Vec<_>>()
                 .join(", ");
             out.push_str(&format!(
@@ -149,7 +146,7 @@ pub fn report_json(outcome: &TuneOutcome, slices: &[H2pSlice], env: &ExpEnv) -> 
     out.push_str(&format!("  \"uop_budget\": {},\n", env.uop_budget()));
     out.push_str(&format!(
         "  \"baseline\": \"{}\",\n",
-        json_escape(&baseline_spec().label())
+        escape(&baseline_spec().label())
     ));
     out.push_str(&format!(
         "  \"space\": {{\"candidates\": {}, \"coarse\": {}, \"scenarios\": {}}},\n",
@@ -194,7 +191,7 @@ pub fn report_json(outcome: &TuneOutcome, slices: &[H2pSlice], env: &ExpEnv) -> 
 
     out.push_str(&format!(
         "  \"promoted_preset\": \"{}\",\n",
-        json_escape(&HybridSpec::tuned_headline().label())
+        escape(&HybridSpec::tuned_headline().label())
     ));
     out.push_str(&format!(
         "  \"promoted_matches_winner\": {},\n",
@@ -207,7 +204,7 @@ pub fn report_json(outcome: &TuneOutcome, slices: &[H2pSlice], env: &ExpEnv) -> 
         out.push_str(&format!(
             "    {{\"bench\": \"{}\", \"h2p_statics\": {}, \"h2p_occurrences\": {}, \
              \"baseline_misp\": {}, \"default_misp\": {}, \"winner_misp\": {}}}{comma}\n",
-            json_escape(&s.bench),
+            escape(&s.bench),
             s.h2p_statics,
             s.h2p_occurrences,
             s.baseline_misp,

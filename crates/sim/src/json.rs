@@ -1,16 +1,24 @@
-//! A minimal, strict JSON parser and writer — hand-rolled because the
-//! container builds offline (no `serde`).
+//! The workspace's one JSON module: a minimal, strict parser and the
+//! string escape for JSON output — hand-rolled because the workspace has
+//! no external dependencies (no `serde`).
+//!
+//! `serve` parses request bodies and escapes response strings with it,
+//! `bench_diff` parses `BENCH_*.json` reports with it, and every report
+//! writer escapes its labels and failure reasons with [`escape`]. The
+//! writers keep their own `format!` layouts: their bytes are the contract.
 //!
 //! The parser is recursive descent over bytes with a hard depth cap, and
 //! every failure is a typed `Err` carrying the byte offset — a malformed
-//! request body must become a `400`, never a panic (pinned by the
-//! robustness tests in `tests/server.rs`). Numbers parse as `f64`, which
-//! is exact for every integer the request schemas use (uop budgets,
-//! future-bit counts — all far below 2^53).
+//! request body must become a `400` and a malformed report an exit-3
+//! diagnostic, never a panic (pinned by `crates/serve/tests/server.rs`
+//! and `crates/sim/tests/bench_diff_cli.rs`). Numbers parse as `f64`,
+//! which is exact for every integer the request schemas use (uop
+//! budgets, future-bit counts — all far below 2^53).
 
 /// Maximum nesting depth the parser accepts. Request bodies are flat
-/// (two levels in practice); the cap exists so a pathological
-/// `[[[[…]]]]` body exhausts the error path, not the stack.
+/// (two levels in practice) and the deepest `BENCH_*.json` report nests
+/// five; the cap exists so a pathological `[[[[…]]]]` input exhausts the
+/// error path, not the stack.
 const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
@@ -26,8 +34,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys: last one wins on
-    /// [`Json::get`] lookups never happens — first match returned).
+    /// An object, in source order. Duplicate keys are kept;
+    /// [`Json::get`] returns the first match.
     Obj(Vec<(String, Json)>),
 }
 

@@ -64,6 +64,7 @@
 mod accuracy;
 pub mod cycle;
 pub mod experiments;
+pub mod json;
 mod metrics;
 pub mod runner;
 pub mod store;

@@ -1,15 +1,5 @@
 //! Plain-text and CSV rendering of experiment results.
 
-/// Escapes a string for embedding in a JSON string literal (backslashes,
-/// quotes, newlines — the characters our labels and panic payloads can
-/// actually contain).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 /// A rectangular results table with a title and footnotes.
 #[derive(Clone, Debug, Default)]
 pub struct Table {

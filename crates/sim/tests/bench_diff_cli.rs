@@ -79,6 +79,18 @@ fn missing_empty_and_corrupt_inputs_exit_3_with_diagnostics() {
     let (code, _, err) = run(&[good.as_os_str(), corrupt.as_os_str()]);
     assert_eq!(code, 3);
     assert!(err.contains("corrupt.json"), "{err}");
+
+    // A pathologically nested report stops at the parser's depth cap
+    // with the same one-line diagnostic, not a stack overflow.
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(1_000_000) + &"]".repeat(1_000_000)).unwrap();
+    let (code, _, err) = run(&[good.as_os_str(), deep.as_os_str()]);
+    assert_eq!(code, 3);
+    assert!(
+        err.contains("deep.json") && err.contains("too deep"),
+        "{err}"
+    );
+    assert_eq!(err.lines().count(), 1, "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

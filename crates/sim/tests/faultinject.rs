@@ -8,6 +8,7 @@ use std::process::Command;
 
 use replay::{record_benchmark, verify_corpus_report, FaultPlan, Manifest};
 use sim::experiments::{tracecmp, ExpEnv};
+use sim::json::{self, Json};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sim-faultinject-{tag}"));
@@ -36,20 +37,39 @@ fn tracecmp_survives_faults_and_stays_thread_invariant() {
     assert_eq!(reports[0], reports[1], "2-thread run diverged under faults");
     assert_eq!(reports[0], reports[2], "4-thread run diverged under faults");
 
-    let json = &reports[0];
-    assert!(json.contains("\"schema\": \"bench_tracecmp_v3\""));
-    // The flipped trace is quarantined with a reason, not fatal.
-    assert!(
-        json.contains("\"trace\": \"gzip\""),
-        "gzip not quarantined:\n{json}"
+    // The whole report parses, so the escaped quarantine and failure
+    // reasons are well-formed JSON strings.
+    let report = &reports[0];
+    let doc = json::parse(report.as_bytes()).expect("BENCH_tracecmp.json parses under faults");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("bench_tracecmp_v3")
     );
-    assert!(!json.contains("\"quarantine\": []"));
+    let text = |entry: &Json, key: &str| entry.get(key).and_then(Json::as_str).unwrap().to_owned();
+    // The flipped trace is quarantined with a reason, not fatal.
+    let quarantine = doc.get("quarantine").and_then(Json::as_array).unwrap();
+    assert!(
+        quarantine
+            .iter()
+            .any(|q| text(q, "trace") == "gzip" && !text(q, "reason").is_empty()),
+        "gzip not quarantined:\n{report}"
+    );
     // The scheduled panics surface as labeled failed cells.
-    assert!(!json.contains("\"failed_cells\": []"));
-    assert!(json.contains("injected fault: scheduled panic"));
-    assert!(json.contains("gshare \u{d7} vpr"));
+    let failed = doc.get("failed_cells").and_then(Json::as_array).unwrap();
+    assert!(!failed.is_empty());
+    for cell in failed {
+        assert!(
+            text(cell, "label").contains("gshare \u{d7} vpr"),
+            "{cell:?}"
+        );
+        assert!(
+            text(cell, "reason").contains("injected fault: scheduled panic"),
+            "{cell:?}"
+        );
+    }
     // Healthy traces still ranked: the report carries a winner.
-    assert!(json.contains("\"rank\": 1"));
+    let ranking = doc.get("ranking").and_then(Json::as_array).unwrap();
+    assert_eq!(ranking[0].get("rank").and_then(Json::as_u64), Some(1));
 }
 
 #[test]

@@ -7,8 +7,19 @@ use std::sync::Arc;
 use prophet_critic::HybridSpec;
 use sim::experiments::common::{pooled_accuracy, ExpEnv};
 use sim::experiments::tune::report_json;
+use sim::json::{self, Json};
 use sim::tune::{h2p_slices, run_search, untuned_default, H2pObjective, TuneOptions, TuneSpace};
 use sim::CellStore;
+
+/// Parses a whole `BENCH_tune.json` report and checks its schema.
+fn parse_report(report: &str) -> Json {
+    let doc = json::parse(report.as_bytes()).expect("BENCH_tune.json parses");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("bench_tune_v2")
+    );
+    doc
+}
 
 /// A reduced-scale environment exercising the parallel path.
 fn env(threads: usize) -> ExpEnv {
@@ -43,6 +54,9 @@ fn search_and_report_are_bit_identical_across_thread_counts() {
         "BENCH_tune.json must not depend on --threads"
     );
     assert_eq!(seq_slices, par_slices);
+    let doc = parse_report(&seq_json);
+    let slices = doc.get("h2p_slices").and_then(Json::as_array).unwrap();
+    assert_eq!(slices.len(), seq_slices.len());
 
     // And the underlying cells, spec for spec, counter for counter.
     assert_eq!(seq.ranked.len(), par.ranked.len());
@@ -86,6 +100,13 @@ fn h2p_weighted_search_is_thread_identical_and_leaves_payloads_alone() {
     );
     assert!(seq_json.contains("\"h2p_objective\": {\"weight\": 0.6000"));
     assert!(seq_json.contains("\"h2p_reduction_percent\""));
+    let doc = parse_report(&seq_json);
+    let per_bench = doc
+        .get("h2p_objective")
+        .and_then(|o| o.get("per_bench"))
+        .and_then(Json::as_array)
+        .unwrap();
+    assert_eq!(per_bench.len(), env(1).programs().len());
 
     let plain = run_search(&TuneSpace::quick(), &env(2), &opts);
     assert_eq!(seq.ranked.len(), plain.ranked.len());
@@ -221,6 +242,7 @@ fn search_resumes_from_a_warm_store_byte_identically() {
         warm_json, cold_json,
         "resumed BENCH_tune.json must be byte-identical"
     );
+    parse_report(&warm_json);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -39,13 +39,6 @@ pub enum TraceError {
         /// What the parser was trying to decode.
         what: &'static str,
     },
-    /// A text-format line failed to parse.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -71,7 +64,6 @@ impl fmt::Display for TraceError {
                 write!(f, "varint longer than 10 bytes at offset {offset}")
             }
             Self::UnexpectedEof { what } => write!(f, "unexpected end of stream decoding {what}"),
-            Self::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's simulator executed Intel **LIT**s — proprietary processor
 //! snapshots. This crate provides the open equivalents our simulator uses,
-//! all *hand-parsed* binary and text formats (no serialization framework):
+//! all *hand-parsed* binary formats (no serialization framework):
 //!
 //! * [`BtWriter`]/[`BtReader`] — the `.bt` binary branch-trace format:
 //!   delta- and varint-compressed dynamic branch records, streamable.
@@ -13,8 +13,6 @@
 //!   dictionary, decoded whole-block into [`DecodedBlock`] column buffers
 //!   for the batched replay engine. [`salvage`] recovers the intact blocks
 //!   of a damaged v2 trace.
-//! * [`write_text`]/[`read_text`] — a line-oriented text format for
-//!   debugging and interchange.
 //! * [`WireReader`]/[`WireWriter`] — the underlying wire primitives
 //!   (LEB128 varints, zigzag signed encoding, magic/version headers),
 //!   shared with the program-snapshot format in the `workloads` crate.
@@ -79,7 +77,6 @@ mod block;
 mod error;
 mod record;
 mod stats;
-mod text;
 pub mod wire;
 
 pub use binary::{sniff_version, BtReader, BtWriter, BT_MAGIC, BT_VERSION, BT_VERSION_V1};
@@ -90,5 +87,4 @@ pub use block::{
 pub use error::{Result, TraceError};
 pub use record::{BranchKind, BranchRecord};
 pub use stats::{BranchProfile, StaticBranchStats, TraceStats, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
-pub use text::{read_text, write_text};
 pub use wire::{WireReader, WireWriter};

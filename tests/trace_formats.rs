@@ -4,8 +4,7 @@
 //! deterministic randomized round-trip property test.
 
 use prophet_critic_repro::bptrace::{
-    read_text, write_text, BranchKind, BranchRecord, BtReader, BtWriter, TraceError, TraceStats,
-    BT_MAGIC, BT_VERSION,
+    BranchKind, BranchRecord, BtReader, BtWriter, TraceError, TraceStats, BT_MAGIC, BT_VERSION,
 };
 use prophet_critic_repro::workloads::rng::SmallRng;
 use prophet_critic_repro::workloads::{self, correct_path_trace, Snapshot, Walker};
@@ -55,30 +54,6 @@ fn snapshot_reruns_identically() {
         original.follow(a.outcome);
         replayed.follow(b.outcome);
     }
-}
-
-#[test]
-fn text_and_binary_agree() {
-    let bench = workloads::benchmark("quake").unwrap();
-    let program = bench.program();
-    let records = correct_path_trace(&program, 77, 500);
-
-    let mut text = Vec::new();
-    write_text(&mut text, &records).unwrap();
-    let from_text = read_text(text.as_slice()).unwrap();
-
-    let mut binary = Vec::new();
-    let mut w = BtWriter::new(&mut binary, "quake").unwrap();
-    for r in &records {
-        w.write(r).unwrap();
-    }
-    w.finish().unwrap();
-    let from_binary = BtReader::new(binary.as_slice())
-        .unwrap()
-        .read_all()
-        .unwrap();
-
-    assert_eq!(from_text, from_binary);
 }
 
 #[test]
