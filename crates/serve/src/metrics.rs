@@ -56,7 +56,8 @@ pub struct Metrics {
     pub requests_client_error: AtomicU64,
     /// Requests that returned a 5xx (including handler panics).
     pub requests_server_error: AtomicU64,
-    /// Requests currently being served.
+    /// Requests holding an admission slot: admitted at the gate, response
+    /// not yet built.
     pub inflight: AtomicU64,
     /// Simulation cells answered straight from the cell store.
     pub cache_hits: AtomicU64,

@@ -1,8 +1,11 @@
 //! The TCP accept loop: bounded concurrency, graceful drain, and the
 //! Unix signal hook.
 //!
-//! The loop polls a non-blocking listener (~25 ms cadence) so it can
-//! notice a shutdown request between connections. Each accepted
+//! `accept` blocks, so a waiting connection is taken the moment it
+//! arrives. A watcher thread checks the stop handle and the signal flag
+//! every 25 ms; once either is set, it connects to the server's own
+//! address to wake `accept`, so shutdown is noticed within 25 ms. The
+//! loop drops that wake connection without counting it. Each accepted
 //! connection is handled on a scoped worker thread; the scope's join is
 //! the drain — when `SIGTERM`/`SIGINT` (or a test's stop handle) flips
 //! the flag, the loop stops accepting, already-running cells finish, and
@@ -11,12 +14,16 @@
 //! Admission control is a simple gate: at `max_inflight` concurrent
 //! requests, new connections are shed immediately with
 //! `503 + Retry-After: 1` — the server never queues unbounded work
-//! behind multi-second simulation cells.
+//! behind multi-second simulation cells. A request holds its admission
+//! slot until its response is built, not while the worker waits for the
+//! client to close; that wait has one deadline of 500 ms in all, so a
+//! worker outlives its slot by at most that long.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +86,6 @@ impl Server {
             ),
         };
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Self {
             listener,
             state: Arc::new(ServerState::new(config.env, corpus)),
@@ -93,7 +99,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the OS error if the socket has gone away.
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -115,16 +121,25 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal listener errors (transient `accept` errors are logged and
-    /// survived).
+    /// Fatal listener errors, and a stop watcher thread that cannot be
+    /// started (transient `accept` errors are logged and survived).
     pub fn run(self) -> std::io::Result<()> {
-        let state = &self.state;
+        let (state, stop) = (&self.state, &self.stop);
+        let wake = wake_addr(self.listener.local_addr()?);
         std::thread::scope(|scope| {
+            // Dropped when the loop ends, by `break` or by a panic; the
+            // watcher then returns, so the scope's join never waits on it.
+            let (_loop_alive, loop_ended) = mpsc::channel::<()>();
+            std::thread::Builder::new()
+                .spawn_scoped(scope, move || watch(stop, wake, &loop_ended))?;
             loop {
-                if self.stop.load(Ordering::SeqCst) || signal::shutdown_requested() {
+                let accepted = self.listener.accept();
+                // Checked before the gate, so the watcher's wake
+                // connection is dropped here: never shed, never recorded.
+                if stop_requested(stop) {
                     break;
                 }
-                match self.listener.accept() {
+                match accepted {
                     Ok((stream, _peer)) => {
                         // Shed before spawning: the gate must account for
                         // the request it admits, so increment happens here
@@ -135,41 +150,94 @@ impl Server {
                             continue;
                         }
                         state.metrics.inflight.fetch_add(1, Ordering::SeqCst);
-                        scope.spawn(move || {
-                            handle_connection(state, stream);
+                        let worker = std::thread::Builder::new()
+                            .spawn_scoped(scope, move || handle_connection(state, stream));
+                        if let Err(e) = worker {
+                            // The connection went down with the closure
+                            // that owned it: the client sees a close.
                             state.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
-                        });
+                            eprintln!("cannot start a worker (connection dropped): {e}");
+                        }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
+                    Err(e) => {
+                        // Most often a resource limit (EMFILE): retrying at
+                        // once would only spin.
+                        eprintln!("accept error (continuing): {e}");
+                        std::thread::sleep(WATCH_INTERVAL);
                     }
-                    Err(e) => eprintln!("accept error (continuing): {e}"),
                 }
             }
-            // Scope exit joins every worker: the graceful drain.
-        });
-        Ok(())
+            // Scope exit joins the watcher and every worker: the graceful
+            // drain.
+            Ok(())
+        })
     }
 }
+
+/// How often the stop watcher checks for shutdown and, once it is
+/// requested, tries to connect to wake the blocked `accept`.
+const WATCH_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Whether shutdown has been requested, by the stop handle or a signal.
+fn stop_requested(stop: &AtomicBool) -> bool {
+    stop.load(Ordering::SeqCst) || signal::shutdown_requested()
+}
+
+/// The stop watcher: once shutdown is requested, connects to `wake`
+/// until one attempt gets through. That connection waits in the
+/// listener's queue, so the blocked `accept` returns and the loop sees
+/// the stop. Each attempt is bounded by [`WATCH_INTERVAL`]. The watcher
+/// also returns once the loop has ended (`loop_ended` disconnects), so a
+/// panicking loop cannot leave it waiting.
+fn watch(stop: &AtomicBool, wake: SocketAddr, loop_ended: &Receiver<()>) {
+    while loop_ended.recv_timeout(WATCH_INTERVAL) == Err(RecvTimeoutError::Timeout) {
+        if stop_requested(stop) && TcpStream::connect_timeout(&wake, WATCH_INTERVAL).is_ok() {
+            return;
+        }
+    }
+}
+
+/// The address that wakes `accept`: the listener's own, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by the loopback address of
+/// the same family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    bound
+}
+
+/// How long [`linger_close`] may wait, in all, for the client to close.
+const LINGER: Duration = Duration::from_millis(500);
 
 /// Closes a connection without resetting it: writing a response while
 /// unread request bytes sit in the kernel buffer would turn the close
 /// into a TCP RST, destroying the buffered response on the client side
 /// (sheds and early 4xxs answer before consuming the request). Shutting
 /// down the write side and draining briefly makes the close a clean FIN.
+///
+/// The drain has one deadline, [`LINGER`] from the shutdown, however the
+/// client paces its bytes: a worker lingers without an admission slot,
+/// so only this deadline bounds how long a peer can keep it alive.
 fn linger_close(mut stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    stream
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .ok();
+    let deadline = Instant::now() + LINGER;
     let mut sink = [0u8; 4096];
     let mut drained = 0usize;
-    while let Ok(n) = std::io::Read::read(&mut stream, &mut sink) {
-        if n == 0 {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // `set_read_timeout` rejects a zero timeout: the time is up.
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
         }
-        drained += n;
-        // A hostile client streaming forever must not pin the worker.
+        match std::io::Read::read(&mut stream, &mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+        // A hostile client streaming fast must not spend the worker's
+        // time either.
         if drained > 1 << 20 {
             break;
         }
@@ -187,7 +255,6 @@ fn shed(state: &ServerState, mut stream: TcpStream) {
     if let Err(e) = resp.write_to(&mut stream) {
         eprintln!("write error on shed response: {e}");
     }
-    linger_close(stream);
     let outcome = Outcome {
         response: resp,
         subject: "(shed)".to_string(),
@@ -199,10 +266,11 @@ fn shed(state: &ServerState, mut stream: TcpStream) {
     state
         .metrics
         .record(outcome.summary("(shed)", start.elapsed()));
+    linger_close(stream);
 }
 
-/// Serves one connection end to end: parse, route (panic-isolated),
-/// respond, record.
+/// Serves one connection end to end: parse, route (panic-isolated), free
+/// the admission slot taken at the gate, respond, record, close.
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
     let start = Instant::now();
     let (endpoint, outcome) = match read_request(&stream) {
@@ -240,13 +308,18 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
             (req.target, outcome)
         }
     };
+    // Free the admission slot before writing: once the response is out,
+    // the client can read it, reconnect and reach the gate, which must
+    // not still count this request.
+    state.metrics.inflight.fetch_sub(1, Ordering::SeqCst);
     if let Err(e) = outcome.response.write_to(&mut stream) {
         eprintln!("write error on {endpoint}: {e}");
     }
-    linger_close(stream);
+    // Recorded before the linger, so latency excludes the client's close.
     state
         .metrics
         .record(outcome.summary(&endpoint, start.elapsed()));
+    linger_close(stream);
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -265,7 +338,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// The only `unsafe` in the workspace: registering `SIGTERM`/`SIGINT`
 /// handlers via the libc `signal` symbol (no crate dependency to wrap
 /// it). The handler body is async-signal-safe — a single atomic store;
-/// the accept loop polls the flag.
+/// the server's stop watcher polls the flag.
 pub mod signal {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -313,5 +386,38 @@ pub mod signal {
     pub fn install() {
         #[cfg(unix)]
         hook::install();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback_of_the_same_family() {
+        let wake = |s: &str| wake_addr(s.parse().unwrap());
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878".parse().unwrap());
+        assert_eq!(wake("[::]:7878"), "[::1]:7878".parse().unwrap());
+        assert_eq!(wake("127.0.0.1:7878"), "127.0.0.1:7878".parse().unwrap());
+    }
+
+    #[test]
+    fn watcher_returns_once_the_loop_has_ended_even_without_a_stop() {
+        // What a panicking accept loop leaves behind: no stop request, and
+        // the loop's end of the channel dropped.
+        let (loop_alive, loop_ended) = mpsc::channel::<()>();
+        drop(loop_alive);
+        let watcher = std::thread::spawn(move || {
+            let unused = SocketAddr::from((Ipv4Addr::LOCALHOST, 9));
+            watch(&AtomicBool::new(false), unused, &loop_ended);
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !watcher.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(WATCH_INTERVAL);
+        }
+        assert!(watcher.is_finished(), "the watcher outlived the loop");
+        watcher
+            .join()
+            .expect("the watcher returns without panicking");
     }
 }

@@ -2,14 +2,17 @@
 //! semantics (repeat request → store hit, byte-identical body; CLI-warmed
 //! store → served without recomputation), corpus-backed endpoints,
 //! parser robustness (truncation, oversized bodies, bad JSON — 4xx,
-//! never a crash), admission-gate shedding, and graceful drain.
+//! never a crash), admission-gate shedding, closed-loop clients that stay
+//! under the gate, requests that never wait on a poll, and graceful
+//! drain, also for a server bound to an unspecified address and with
+//! clients that keep their connections open by trickling bytes.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serve::{ServeConfig, Server, ServerState};
 use sim::experiments::common::run_matrix_checked;
@@ -30,6 +33,19 @@ fn tiny_env() -> ExpEnv {
         scale: 0.02,
         ..ExpEnv::tiny()
     }
+}
+
+/// Polls `done` every 5 ms until it holds or `limit` has passed; returns
+/// whether it held.
+fn wait_for(limit: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + limit;
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
 }
 
 struct TestServer {
@@ -345,9 +361,12 @@ fn admission_gate_sheds_with_retry_after_and_drain_finishes_work() {
     // line, leaving the worker blocked reading headers.
     let mut holder = TcpStream::connect(server.addr).unwrap();
     holder.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-    // Let the accept loop pick it up (25 ms poll cadence).
-    std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(server.state.metrics.inflight.load(Ordering::SeqCst), 1);
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            server.state.metrics.inflight.load(Ordering::SeqCst) == 1
+        }),
+        "the held request takes the only admission slot"
+    );
 
     // The next connection is shed without queueing.
     let shed = get(server.addr, "/metrics");
@@ -372,5 +391,136 @@ fn admission_gate_sheds_with_retry_after_and_drain_finishes_work() {
         .join()
         .expect("server thread exits cleanly")
         .expect("run returns Ok");
-    assert_eq!(server.state.metrics.requests_shed.load(Ordering::SeqCst), 1);
+    let metrics = &server.state.metrics;
+    assert_eq!(metrics.requests_shed.load(Ordering::SeqCst), 1);
+    // The held request and the shed one: the stop watcher's wake
+    // connection is never counted.
+    assert_eq!(metrics.requests_total.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn closed_loop_clients_at_the_gate_are_never_shed() {
+    const CLIENTS: usize = 4;
+    const EACH: usize = 100;
+    let dir = temp_dir("closed-loop");
+    let store = Arc::new(CellStore::open(&dir).unwrap());
+    let mut config = ServeConfig::ephemeral(tiny_env().with_store(store));
+    config.max_inflight = CLIENTS as u64;
+    let server = TestServer::start(config);
+
+    let req = "{\"benchmarks\": [\"gzip\"]}";
+    let warm = post(server.addr, "/v1/predict", req);
+    assert_eq!(warm.status, 200);
+
+    // Each client sends its next request as soon as it has read the
+    // previous reply, so it reconnects while its last worker may still be
+    // waiting for the close: a slot held past the response would shed it.
+    let addr = server.addr;
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                for _ in 0..EACH {
+                    assert_eq!(get(addr, "/healthz").status, 200);
+                    let reply = post(addr, "/v1/predict", req);
+                    assert_eq!(reply.status, 200);
+                    assert_eq!(reply.header("x-cache"), Some("hit"));
+                    assert!(reply.body == warm.body, "warm replies are byte-identical");
+                }
+            });
+        }
+    });
+
+    let state = Arc::clone(&server.state);
+    server.shutdown();
+    assert_eq!(state.metrics.requests_shed.load(Ordering::SeqCst), 0);
+    assert_eq!(
+        state.metrics.requests_total.load(Ordering::SeqCst),
+        (1 + 2 * CLIENTS * EACH) as u64
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sequential_requests_do_not_wait_on_a_poll() {
+    let server = TestServer::start(ServeConfig::ephemeral(tiny_env()));
+    let start = Instant::now();
+    for _ in 0..40 {
+        assert_eq!(get(server.addr, "/healthz").status, 200);
+    }
+    let took = start.elapsed();
+    // A 25 ms accept poll would make this at least a second.
+    assert!(
+        took < Duration::from_millis(400),
+        "40 sequential requests took {took:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn server_bound_to_an_unspecified_address_stops_promptly() {
+    let mut config = ServeConfig::ephemeral(tiny_env());
+    config.addr = "0.0.0.0:0".to_string();
+    let server = TestServer::start(config);
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], server.addr.port()));
+    assert_eq!(get(loopback, "/healthz").status, 200);
+
+    // The stop watcher wakes `accept` through the loopback address.
+    server.stop.store(true, Ordering::SeqCst);
+    assert!(
+        wait_for(Duration::from_secs(5), || server.join.is_finished()),
+        "run returns within 5 s of the stop flag"
+    );
+    server
+        .join
+        .join()
+        .expect("server thread exits cleanly")
+        .expect("run returns Ok");
+}
+
+#[test]
+fn trickling_clients_cannot_hold_the_drain_open() {
+    const TRICKLERS: usize = 16;
+    let mut config = ServeConfig::ephemeral(tiny_env());
+    config.max_inflight = 4;
+    let server = TestServer::start(config);
+    let addr = server.addr;
+
+    std::thread::scope(|scope| {
+        // Each client reads its reply, then keeps the connection open by
+        // sending a byte every 50 ms, until the server has closed it or
+        // 10 s have passed. Its worker is lingering, past its slot.
+        for _ in 0..TRICKLERS {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+                .expect("send request");
+            let mut raw = Vec::new();
+            stream.read_to_end(&mut raw).expect("read response");
+            assert_eq!(parse_reply(&raw).status, 200);
+            scope.spawn(move || {
+                let until = Instant::now() + Duration::from_secs(10);
+                while Instant::now() < until && stream.write_all(b"x").is_ok() {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            });
+        }
+        // Lingering workers hold no admission slot …
+        assert_eq!(get(addr, "/healthz").status, 200);
+        // … and each lingers for at most 500 ms in all, so the drain
+        // finishes long before the clients stop sending.
+        server.stop.store(true, Ordering::SeqCst);
+        assert!(
+            wait_for(Duration::from_secs(3), || server.join.is_finished()),
+            "run returns within 3 s of the stop flag while {TRICKLERS} clients trickle"
+        );
+    });
+    server
+        .join
+        .join()
+        .expect("server thread exits cleanly")
+        .expect("run returns Ok");
+    assert_eq!(server.state.metrics.requests_shed.load(Ordering::SeqCst), 0);
 }
