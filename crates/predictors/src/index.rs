@@ -97,6 +97,18 @@ pub fn skew(which: usize, pc: u64, hist: u64, hist_len: usize, width: usize) -> 
     out & mask(width)
 }
 
+/// The PC operand of [`mix2`]'s tag at `tag_width` bits, for an index of
+/// `index_width` bits. It does not depend on the history, so kernels that
+/// hash one branch into several equally sized tables (TAGE's banks)
+/// compute it once per branch; [`mix2`] itself is defined in terms of it.
+#[must_use]
+pub(crate) fn mix2_tag_pc(pc: u64, index_width: usize, tag_width: usize) -> u64 {
+    fold(
+        (pc >> 2).rotate_left(7) ^ (pc >> (2 + index_width)),
+        tag_width,
+    )
+}
+
 /// Two different XOR hashes of `(pc, bits)` producing an `index` of
 /// `index_width` bits and a `tag` of `tag_width` bits.
 ///
@@ -116,11 +128,7 @@ pub fn mix2(
     // Tag: fold history at tag width, XOR with differently-shifted PC bits so
     // that index and tag disagree on how they view both inputs.
     let th = fold_bits(bits, bits_len, tag_width);
-    let tp = fold(
-        (pc >> 2).rotate_left(7) ^ (pc >> (2 + index_width)),
-        tag_width,
-    );
-    let tag = (th ^ tp) & mask(tag_width);
+    let tag = (th ^ mix2_tag_pc(pc, index_width, tag_width)) & mask(tag_width);
     (idx, tag)
 }
 

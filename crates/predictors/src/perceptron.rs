@@ -1,10 +1,48 @@
 //! The perceptron predictor of Jiménez and Lin.
+//!
+//! Every path — scalar `predict`/`update` and the fused kernels — first
+//! expands the history register into a vector of ±1 inputs, one byte
+//! per position, through a 256-entry byte-expansion table. The dot
+//! product and the saturating weight update are then plain zips of two
+//! byte slices, which the compiler turns into SIMD lanes, instead of a
+//! bit test and a ±1 select per weight. The replay kernel keeps the
+//! history in a register and expands it once per branch.
 
-use crate::{DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction};
+use crate::{
+    mask, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
+    MAX_HISTORY_BITS,
+};
 
 /// Weight type: 8-bit signed, as budgeted by Table 3 of the paper
 /// (e.g. 2 KB = 113 perceptrons × 18 weights × 1 byte).
 type Weight = i8;
+
+/// `SIGNS[b]` holds the eight history bits of byte `b` as the
+/// perceptron's inputs, bit 0 first: +1 for taken, −1 for not-taken.
+const SIGNS: [[i8; 8]; 256] = {
+    let mut table = [[0i8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[byte][bit] = if (byte >> bit) & 1 == 1 { 1 } else { -1 };
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// A history register's bits (newest in bit 0) as ±1 inputs, newest
+/// first. The register holds zeros past its length, so those positions
+/// read −1, as [`HistoryBits::outcome`] reads them not-taken.
+fn signs(bits: u64) -> [i8; MAX_HISTORY_BITS] {
+    let mut x = [0i8; MAX_HISTORY_BITS];
+    for (lane, byte) in x.chunks_exact_mut(8).zip(bits.to_le_bytes()) {
+        lane.copy_from_slice(&SIGNS[usize::from(byte)]);
+    }
+    x
+}
 
 /// The perceptron branch predictor.
 ///
@@ -82,42 +120,61 @@ impl Perceptron {
         ((pc.addr() >> 2) % self.n_perceptrons as u64) as usize
     }
 
-    fn output(&self, row: usize, hist: HistoryBits) -> i32 {
-        let base = row * (self.history_len + 1);
-        let w = &self.weights[base..base + self.history_len + 1];
-        let mut y = i32::from(w[0]);
-        for i in 0..self.history_len {
-            let x = if hist.outcome(i) { 1 } else { -1 };
-            y += i32::from(w[i + 1]) * x;
+    /// Row `row`'s weights, bias first.
+    fn row_weights(&self, row: usize) -> &[Weight] {
+        let n = self.history_len + 1;
+        &self.weights[row * n..(row + 1) * n]
+    }
+
+    /// The dot product `y = w0 + Σ wi·xi` over inputs `x` (from [`signs`]).
+    fn output(&self, row: usize, x: &[i8; MAX_HISTORY_BITS]) -> i32 {
+        let w = self.row_weights(row);
+        // Each term is ±wi, and at most 64 terms of magnitude ≤ 128 sum
+        // to within ±8192, so 16-bit lanes cannot overflow.
+        let dot: i16 = w[1..]
+            .iter()
+            .zip(x)
+            .map(|(&w, &x)| i16::from(w) * i16::from(x))
+            .sum();
+        i32::from(w[0]) + i32::from(dot)
+    }
+
+    /// Predicts from inputs `x`, then trains toward `taken` when the
+    /// prediction was wrong or `|y|` was at most θ. Returns the prediction.
+    fn predict_train(&mut self, row: usize, x: &[i8; MAX_HISTORY_BITS], taken: bool) -> bool {
+        let y = self.output(row, x);
+        // Ties (y == 0) predict taken, per the original description where
+        // "if the output is negative ... not taken", otherwise taken.
+        let pred = y >= 0;
+        if pred != taken || y.abs() <= self.theta {
+            let n = self.history_len + 1;
+            let w = &mut self.weights[row * n..(row + 1) * n];
+            // Each weight moves one step toward agreement between its input
+            // and the outcome: +xi when taken, −xi when not.
+            if taken {
+                w[0] = w[0].saturating_add(1);
+                for (w, &x) in w[1..].iter_mut().zip(x) {
+                    *w = w.saturating_add(x);
+                }
+            } else {
+                w[0] = w[0].saturating_sub(1);
+                for (w, &x) in w[1..].iter_mut().zip(x) {
+                    *w = w.saturating_sub(x);
+                }
+            }
         }
-        y
+        pred
     }
 }
 
 impl DirectionPredictor for Perceptron {
     fn predict(&self, pc: Pc, hist: HistoryBits) -> Prediction {
-        let y = self.output(self.row(pc), hist);
-        // Ties (y == 0) predict taken, per the original description where
-        // "if the output is negative ... not taken", otherwise taken.
+        let y = self.output(self.row(pc), &signs(hist.bits()));
         Prediction::with_confidence(y >= 0, y.abs())
     }
 
     fn update(&mut self, pc: Pc, hist: HistoryBits, taken: bool) {
-        let row = self.row(pc);
-        let y = self.output(row, hist);
-        let pred = y >= 0;
-        if pred != taken || y.abs() <= self.theta {
-            let t: i32 = if taken { 1 } else { -1 };
-            let base = row * (self.history_len + 1);
-            let w = &mut self.weights[base..base + self.history_len + 1];
-            w[0] = w[0].saturating_add(t as i8);
-            for i in 0..self.history_len {
-                let x: i32 = if hist.outcome(i) { 1 } else { -1 };
-                // weight += 1 if outcome agrees with history bit, else -= 1
-                let delta = (t * x) as i8;
-                w[i + 1] = w[i + 1].saturating_add(delta);
-            }
-        }
+        self.predict_train(self.row(pc), &signs(hist.bits()), taken);
     }
 
     fn history_len(&self) -> usize {
@@ -138,29 +195,54 @@ impl DirectionPredictor for Perceptron {
     fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
         let mut out = PredictBlock::new();
         for input in inputs {
-            let row = self.row(input.pc);
-            let y = self.output(row, input.hist);
-            let pred = y >= 0;
-            out.push(pred);
-            if pred != input.taken || y.abs() <= self.theta {
-                let t: i32 = if input.taken { 1 } else { -1 };
-                let base = row * (self.history_len + 1);
-                let w = &mut self.weights[base..base + self.history_len + 1];
-                w[0] = w[0].saturating_add(t as i8);
-                for i in 0..self.history_len {
-                    let x: i32 = if input.hist.outcome(i) { 1 } else { -1 };
-                    let delta = (t * x) as i8;
-                    w[i + 1] = w[i + 1].saturating_add(delta);
-                }
-            }
+            let x = signs(input.hist.bits());
+            out.push(self.predict_train(self.row(input.pc), &x, input.taken));
         }
         out
+    }
+
+    /// Keeps the history in a register clipped to `history_len` (the
+    /// positions the weights read) and expands it once per element, with
+    /// no per-element [`PredictInput`] built.
+    fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
+        assert!(pcs.len() <= PredictBlock::CAPACITY, "replay block overfull");
+        let eff = self.history_len.min(start.len());
+        let m = mask(eff);
+        let mut h = start.recent(eff);
+        let mut bits = 0u64;
+        for (i, &pc) in pcs.iter().enumerate() {
+            let taken = (outcomes >> i) & 1 == 1;
+            bits |= u64::from(self.predict_train(self.row(pc), &signs(h), taken)) << i;
+            h = ((h << 1) | u64::from(taken)) & m;
+        }
+        PredictBlock::from_parts(bits, pcs.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn signs_read_each_position_as_outcome_does() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in 0..=MAX_HISTORY_BITS {
+            for _ in 0..16 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let hist = HistoryBits::from_raw(state, len);
+                let x = signs(hist.bits());
+                for (i, &xi) in x.iter().enumerate() {
+                    assert_eq!(
+                        xi,
+                        if hist.outcome(i) { 1 } else { -1 },
+                        "len {len} pos {i}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn theta_follows_jimenez_lin_formula() {

@@ -26,10 +26,22 @@
 //! per-bank index/tag hashes once and predicts-then-trains in element
 //! order — is *exactly* the scalar sequence; `batch_equiv.rs` pins the
 //! equivalence and `tage_invariants.rs` pins the structural invariants.
+//!
+//! Every bank shares one index width and one tag width, so the PC half of
+//! the tag hash is computed once per branch, not once per bank. The replay
+//! kernel (`replay_block`) goes further: replay history moves one outcome
+//! at a time, so it keeps each bank's index fold and tag fold as a
+//! *folded-history register*, seeded from the chunk's start register once
+//! per call and stepped in constant time per element, instead of
+//! re-folding up to 64 history bits per bank per branch. Those registers
+//! live only inside one call; the predictor stores nothing derived from
+//! the history. The H2P allocator is consulted once per branch: the
+//! flagged slot and its dedicated-entry index, found at prediction time,
+//! are carried through to training.
 
 use crate::counter::SatCounter;
-use crate::history::{mask, HistoryBits};
-use crate::index::{fold, gshare_index, mix2};
+use crate::history::{fold_bits, mask, HistoryBits};
+use crate::index::{fold, gshare_index, mix2_tag_pc};
 use crate::table::CounterTable;
 use crate::{DirectionPredictor, Pc, PredictBlock, PredictInput, Prediction};
 
@@ -80,11 +92,35 @@ impl TageBank {
     }
 }
 
-/// Everything one `(pc, history)` context resolves to: per-bank hashes and
-/// the provider/alternate scan result. Computed once and shared between
-/// the predict and train halves of the fused kernels — `predict` reads no
-/// mutable state, so the reuse is bit-identical to recomputing.
+/// One bank's slice of the history register, XOR-folded to the bank's
+/// index width and to its tag width: the two history operands of the
+/// bank's index and tag hashes (those of [`crate::index::mix2`]).
+#[derive(Clone, Copy, Default)]
+struct Folds {
+    idx: u64,
+    tag: u64,
+}
+
+impl Folds {
+    /// The folds of the low `len` bits of `h`.
+    fn of(h: u64, len: usize, index_bits: usize, tag_bits: usize) -> Self {
+        Self {
+            idx: fold_bits(h, len, index_bits),
+            tag: fold_bits(h, len, tag_bits),
+        }
+    }
+}
+
+/// Everything one `(pc, history)` context resolves to: per-bank hashes,
+/// the provider/alternate scan result and the H2P allocator's entry.
+/// Computed once and shared between the predict and train halves of the
+/// fused kernels — `predict` reads no mutable state, so the reuse is
+/// bit-identical to recomputing.
 struct Lookup {
+    pc: Pc,
+    /// The history register clipped to `history_len`: the bits the banks
+    /// read, and the context the allocator indexes its entries with.
+    hist: HistoryBits,
     idx: [u64; MAX_BANKS],
     tag: [u16; MAX_BANKS],
     base_idx: u64,
@@ -92,6 +128,8 @@ struct Lookup {
     provider: Option<usize>,
     /// Next-longest hitting bank below the provider, if any.
     alt: Option<usize>,
+    /// The branch's dedicated H2P entry, if it is a flagged static.
+    h2p: Option<H2pEntry>,
 }
 
 /// The directions a lookup decides on, before training.
@@ -149,6 +187,14 @@ pub struct DynamicAllocator {
     track_misp: Vec<u8>,
 }
 
+/// A flagged static's dedicated entry for one branch: its slot and the
+/// entry's table index in the branch's context.
+#[derive(Clone, Copy)]
+struct H2pEntry {
+    slot: usize,
+    index: u64,
+}
+
 impl DynamicAllocator {
     /// Executions before a static can be flagged (matches the trace-side
     /// `H2P_MIN_OCCURRENCES`).
@@ -201,7 +247,7 @@ impl DynamicAllocator {
     /// Whether `pc` currently holds dedicated capacity.
     #[must_use]
     pub fn is_flagged(&self, pc: Pc) -> bool {
-        self.flagged.contains(&pc.addr())
+        self.slot_of(pc).is_some()
     }
 
     /// Flags `pc` as hard-to-predict, stealing a dedicated table slice for
@@ -209,33 +255,48 @@ impl DynamicAllocator {
     /// with trace-side profiles — `BranchProfile::h2p_candidates` — can
     /// seed the flag set instead of waiting for the online tracker.
     pub fn flag(&mut self, pc: Pc) {
-        if self.flagged.len() < self.capacity && !self.flagged.contains(&pc.addr()) {
+        if self.flagged.len() < self.capacity && self.slot_of(pc).is_none() {
             self.flagged.push(pc.addr());
         }
     }
 
-    /// The dedicated-table index of flagged slot `slot` in context `hist`.
-    fn entry_index(&self, slot: usize, pc: Pc, hist: HistoryBits) -> u64 {
+    /// The flagged slot `pc` owns, if any.
+    fn slot_of(&self, pc: Pc) -> Option<usize> {
+        self.flagged.iter().position(|&p| p == pc.addr())
+    }
+
+    /// Slot `slot`'s dedicated entry for `pc` in context `hist`.
+    fn entry(&self, slot: usize, pc: Pc, hist: HistoryBits) -> H2pEntry {
         let ctx = gshare_index(pc.addr(), hist.bits(), hist.len(), self.ctx_bits);
-        ((slot as u64) << self.ctx_bits) | ctx
+        H2pEntry {
+            slot,
+            index: ((slot as u64) << self.ctx_bits) | ctx,
+        }
+    }
+
+    /// `pc`'s dedicated entry in context `hist`, if `pc` is flagged.
+    fn locate(&self, pc: Pc, hist: HistoryBits) -> Option<H2pEntry> {
+        self.slot_of(pc).map(|slot| self.entry(slot, pc, hist))
+    }
+
+    /// A located entry's `(direction, saturated)`.
+    fn dedicated(&self, e: H2pEntry) -> (bool, bool) {
+        let c = self.table.counter(e.index);
+        (c.is_taken(), c.is_strong())
     }
 
     /// The dedicated prediction for `pc`, if flagged: `(direction,
     /// saturated)`. The caller's chooser only honours saturated entries.
     #[must_use]
     pub fn predict_h2p(&self, pc: Pc, hist: HistoryBits) -> Option<(bool, bool)> {
-        let slot = self.flagged.iter().position(|&p| p == pc.addr())?;
-        let c = self.table.counter(self.entry_index(slot, pc, hist));
-        Some((c.is_taken(), c.is_strong()))
+        self.locate(pc, hist).map(|e| self.dedicated(e))
     }
 
     /// Whether the tournament chooser currently favours `pc`'s dedicated
     /// entry over the TAGE-side prediction.
     #[must_use]
     pub fn chooser_favors(&self, pc: Pc) -> bool {
-        self.flagged
-            .iter()
-            .position(|&p| p == pc.addr())
+        self.slot_of(pc)
             .is_some_and(|slot| self.chooser.taken(slot as u64))
     }
 
@@ -245,6 +306,21 @@ impl DynamicAllocator {
     /// prediction the chooser competes against.
     pub fn observe(
         &mut self,
+        pc: Pc,
+        hist: HistoryBits,
+        taken: bool,
+        tage_taken: bool,
+        mispredicted: bool,
+    ) {
+        let entry = self.locate(pc, hist);
+        self.observe_at(entry, pc, hist, taken, tage_taken, mispredicted);
+    }
+
+    /// [`Self::observe`] given `pc`'s entry as located before the call, so
+    /// a branch scans the flagged list once from prediction to training.
+    fn observe_at(
+        &mut self,
+        mut entry: Option<H2pEntry>,
         pc: Pc,
         hist: HistoryBits,
         taken: bool,
@@ -264,21 +340,23 @@ impl DynamicAllocator {
         if mispredicted {
             self.track_misp[slot] = self.track_misp[slot].saturating_add(1);
         }
-        if self.track_occ[slot] >= Self::FLAG_MIN_OCCURRENCES
+        if entry.is_none()
+            && self.flagged.len() < self.capacity
+            && self.track_occ[slot] >= Self::FLAG_MIN_OCCURRENCES
             && u32::from(self.track_misp[slot]) * 4 >= u32::from(self.track_occ[slot])
         {
-            self.flag(pc);
+            self.flagged.push(pc.addr());
+            entry = Some(self.entry(self.flagged.len() - 1, pc, hist));
         }
-        if let Some(slot) = self.flagged.iter().position(|&p| p == pc.addr()) {
-            let idx = self.entry_index(slot, pc, hist);
-            let c = self.table.counter(idx);
+        if let Some(e) = entry {
+            let (dir, strong) = self.dedicated(e);
             // Tournament scoring: only committed (saturated) dedicated
             // predictions that disagreed with TAGE move the chooser —
             // agreements carry no information about which side is better.
-            if c.is_strong() && c.is_taken() != tage_taken {
-                self.chooser.update(slot as u64, c.is_taken() == taken);
+            if strong && dir != tage_taken {
+                self.chooser.update(e.slot as u64, dir == taken);
             }
-            self.table.update(idx, taken);
+            self.table.update(e.index, taken);
         }
     }
 
@@ -420,24 +498,47 @@ impl Tage {
     pub fn predict_tagged(&self, pc: Pc, hist: HistoryBits) -> Option<Prediction> {
         let look = self.lookup(pc, hist);
         look.provider?;
-        let dec = self.decide(&look, pc, hist);
+        let dec = self.decide(&look);
         Some(Prediction::with_confidence(dec.final_taken, dec.confidence))
     }
 
-    /// Hashes every bank and scans for provider/alternate. Pure.
+    /// The index width and tag width every bank shares.
+    fn hash_widths(&self) -> (usize, usize) {
+        let bank = &self.banks[0];
+        (bank.counters.index_bits(), bank.tag_bits)
+    }
+
+    /// Folds every bank's slice of `hist`, then probes the banks. Pure.
     fn lookup(&self, pc: Pc, hist: HistoryBits) -> Lookup {
-        let mut idx = [0u64; MAX_BANKS];
-        let mut tag = [0u16; MAX_BANKS];
-        for (b, bank) in self.banks.iter().enumerate() {
-            let (i, t) = mix2(
-                pc.addr(),
+        // The allocator sees the bits the banks read, whatever the length
+        // of the caller's register — as it does in `replay_block`.
+        let hist = HistoryBits::from_raw(hist.bits(), hist.len().min(self.history_len));
+        let (index_bits, tag_bits) = self.hash_widths();
+        let mut folds = [Folds::default(); MAX_BANKS];
+        for (f, bank) in folds.iter_mut().zip(&self.banks) {
+            *f = Folds::of(
                 hist.recent(bank.hist_len),
                 bank.hist_len,
-                bank.counters.index_bits(),
-                bank.tag_bits,
+                index_bits,
+                tag_bits,
             );
-            idx[b] = i;
-            tag[b] = t as u16;
+        }
+        self.probe(pc, hist, &folds)
+    }
+
+    /// Hashes every bank from its history folds, scans for provider and
+    /// alternate, and locates the branch's H2P entry. `hist` is already
+    /// clipped to `history_len`. Pure.
+    fn probe(&self, pc: Pc, hist: HistoryBits, folds: &[Folds; MAX_BANKS]) -> Lookup {
+        let (index_bits, tag_bits) = self.hash_widths();
+        let (index_mask, tag_mask) = (mask(index_bits), mask(tag_bits));
+        let word = pc.addr() >> 2;
+        let tag_pc = mix2_tag_pc(pc.addr(), index_bits, tag_bits);
+        let mut idx = [0u64; MAX_BANKS];
+        let mut tag = [0u16; MAX_BANKS];
+        for b in 0..self.banks.len() {
+            idx[b] = (word ^ folds[b].idx) & index_mask;
+            tag[b] = ((folds[b].tag ^ tag_pc) & tag_mask) as u16;
         }
         let mut provider = None;
         let mut alt = None;
@@ -452,16 +553,19 @@ impl Tage {
             }
         }
         Lookup {
+            pc,
+            hist,
             idx,
             tag,
-            base_idx: pc.addr() >> 2,
+            base_idx: word,
             provider,
             alt,
+            h2p: self.allocator.as_ref().and_then(|a| a.locate(pc, hist)),
         }
     }
 
     /// Resolves a lookup into directions and confidence. Pure.
-    fn decide(&self, look: &Lookup, pc: Pc, hist: HistoryBits) -> Decision {
+    fn decide(&self, look: &Lookup) -> Decision {
         let base_taken = self.base.taken(look.base_idx);
         let alt_taken = look
             .alt
@@ -507,12 +611,11 @@ impl Tage {
         // dedicated slice exists to repair the low-confidence tail, not
         // to second-guess established providers.
         let mut final_taken = tage_taken;
-        if let Some(a) = &self.allocator {
-            if let Some((dir, strong)) = a.predict_h2p(pc, hist) {
-                if strong && (confidence == 0 || newly) && a.chooser_favors(pc) {
-                    final_taken = dir;
-                    confidence = i32::from(SatCounter::weakly_not_taken(CTR_BITS).max());
-                }
+        if let (Some(a), Some(e)) = (&self.allocator, look.h2p) {
+            let (dir, strong) = a.dedicated(e);
+            if strong && (confidence == 0 || newly) && a.chooser.taken(e.slot as u64) {
+                final_taken = dir;
+                confidence = i32::from(SatCounter::weakly_not_taken(CTR_BITS).max());
             }
         }
         Decision {
@@ -527,7 +630,7 @@ impl Tage {
 
     /// The commit-time training step for one resolved branch, given the
     /// lookup/decision its prediction was made from.
-    fn train(&mut self, look: &Lookup, dec: &Decision, pc: Pc, hist: HistoryBits, taken: bool) {
+    fn train(&mut self, look: &Lookup, dec: &Decision, taken: bool) {
         if let Some(p) = look.provider {
             // Alternate policy: when a newly allocated provider and the
             // alternate disagreed, learn which to trust next time.
@@ -580,19 +683,24 @@ impl Tage {
             }
         }
         if let Some(a) = &mut self.allocator {
-            a.observe(pc, hist, taken, dec.tage_taken, dec.final_taken != taken);
+            a.observe_at(
+                look.h2p,
+                look.pc,
+                look.hist,
+                taken,
+                dec.tage_taken,
+                dec.final_taken != taken,
+            );
         }
     }
 
     /// Fused predict-then-train for one element: the lookup is computed
     /// once and shared. `predict` reads no mutable state, so this is
     /// bit-identical to scalar predict-then-update.
-    fn predict_train(&mut self, input: &PredictInput) -> bool {
-        let look = self.lookup(input.pc, input.hist);
-        let dec = self.decide(&look, input.pc, input.hist);
-        let pred = dec.final_taken;
-        self.train(&look, &dec, input.pc, input.hist, input.taken);
-        pred
+    fn predict_train(&mut self, look: &Lookup, taken: bool) -> bool {
+        let dec = self.decide(look);
+        self.train(look, &dec, taken);
+        dec.final_taken
     }
 }
 
@@ -618,15 +726,13 @@ fn geometric_lengths(n: usize, min: usize, max: usize) -> Vec<usize> {
 
 impl DirectionPredictor for Tage {
     fn predict(&self, pc: Pc, hist: HistoryBits) -> Prediction {
-        let look = self.lookup(pc, hist);
-        let dec = self.decide(&look, pc, hist);
+        let dec = self.decide(&self.lookup(pc, hist));
         Prediction::with_confidence(dec.final_taken, dec.confidence)
     }
 
     fn update(&mut self, pc: Pc, hist: HistoryBits, taken: bool) {
         let look = self.lookup(pc, hist);
-        let dec = self.decide(&look, pc, hist);
-        self.train(&look, &dec, pc, hist, taken);
+        self.predict_train(&look, taken);
     }
 
     fn history_len(&self) -> usize {
@@ -655,34 +761,62 @@ impl DirectionPredictor for Tage {
         assert!(inputs.len() <= PredictBlock::CAPACITY, "block overfull");
         let mut bits = 0u64;
         for (i, input) in inputs.iter().enumerate() {
-            bits |= u64::from(self.predict_train(input)) << i;
+            let look = self.lookup(input.pc, input.hist);
+            bits |= u64::from(self.predict_train(&look, input.taken)) << i;
         }
         PredictBlock::from_parts(bits, inputs.len())
     }
 
     fn train_block(&mut self, inputs: &[PredictInput]) {
         for input in inputs {
-            let look = self.lookup(input.pc, input.hist);
-            let dec = self.decide(&look, input.pc, input.hist);
-            self.train(&look, &dec, input.pc, input.hist, input.taken);
+            self.update(input.pc, input.hist, input.taken);
         }
     }
 
+    /// Keeps each bank's `Folds` as folded-history registers, seeded from
+    /// `start` once per call. Pushing outcome `t` shifts a bank's
+    /// `len`-bit slice of the register left by one and drops its oldest
+    /// bit `o` (bit `len - 1`), where `len` is the bank's history length
+    /// clipped to the register's. A fold to `w` bits sends bit `i` to bit
+    /// `i mod w` and is linear over XOR, so the shifted slice's fold is
+    /// the old fold rotated left by one within `w` bits, with `t` entering
+    /// at bit 0 and `o` cancelled at bit `len mod w`: exactly what
+    /// `fold_bits` gives for the new slice, in constant time per bank.
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         assert!(pcs.len() <= PredictBlock::CAPACITY, "replay block overfull");
         let eff = self.history_len.min(start.len());
         let m = mask(eff);
         let mut h = start.recent(eff);
+        let (index_bits, tag_bits) = self.hash_widths();
+        let (index_mask, tag_mask) = (mask(index_bits), mask(tag_bits));
+        let banks = self.banks.len();
+        let mut folds = [Folds::default(); MAX_BANKS];
+        // Per bank: the oldest bit's position in `h`, and where it lands
+        // in the index fold and in the tag fold.
+        let mut outgoing = [(0, 0, 0); MAX_BANKS];
+        for (b, bank) in self.banks.iter().enumerate() {
+            let len = bank.hist_len.min(eff);
+            folds[b] = Folds::of(h, len, index_bits, tag_bits);
+            outgoing[b] = (len.max(1) - 1, len % index_bits, len % tag_bits);
+        }
         let mut bits = 0u64;
         for (i, &pc) in pcs.iter().enumerate() {
+            let look = self.probe(pc, HistoryBits::from_raw(h, eff), &folds);
             let taken = (outcomes >> i) & 1 == 1;
-            let input = PredictInput {
-                pc,
-                hist: HistoryBits::from_raw(h, eff),
-                taken,
-            };
-            bits |= u64::from(self.predict_train(&input)) << i;
-            h = ((h << 1) | u64::from(taken)) & m;
+            bits |= u64::from(self.predict_train(&look, taken)) << i;
+            // A zero-length register takes in no bit (`m` is 0), so `h`
+            // and every fold stay 0.
+            let t = u64::from(taken) & m;
+            for (f, &(oldest, idx_at, tag_at)) in folds[..banks].iter_mut().zip(&outgoing) {
+                let o = (h >> oldest) & 1;
+                // Shift, take `t` in and cancel `o`; then wrap the bit
+                // shifted out at `w` back to bit 0.
+                let c = (f.idx << 1) ^ t ^ (o << idx_at);
+                f.idx = (c ^ (c >> index_bits)) & index_mask;
+                let c = (f.tag << 1) ^ t ^ (o << tag_at);
+                f.tag = (c ^ (c >> tag_bits)) & tag_mask;
+            }
+            h = ((h << 1) | t) & m;
         }
         PredictBlock::from_parts(bits, pcs.len())
     }

@@ -1,7 +1,7 @@
 //! YAGS — "Yet Another Global Scheme" (Eden/Mudge), a tagged de-aliased
 //! predictor the paper lists alongside 2Bc-gskew.
 
-use crate::index::{gshare_index, mix2};
+use crate::index::mix2;
 use crate::{
     CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
     SatCounter, TaggedTable,
@@ -62,22 +62,15 @@ impl Yags {
         pc.addr() >> 2
     }
 
+    /// The direction caches' set index (a gshare index) and tag.
     fn cache_hash(&self, pc: Pc, hist: HistoryBits) -> (u64, u64) {
-        let sets = self.taken_cache.sets();
-        let idx = gshare_index(
+        mix2(
             pc.addr(),
             hist.recent(self.history_len),
             self.history_len,
-            sets.trailing_zeros() as usize,
-        );
-        let (_, tag) = mix2(
-            pc.addr(),
-            hist.recent(self.history_len),
-            self.history_len,
-            sets.trailing_zeros() as usize,
+            self.taken_cache.index_bits(),
             self.taken_cache.tag_bits(),
-        );
-        (idx, tag)
+        )
     }
 }
 

@@ -8,6 +8,7 @@
 //! every cached `sim::store` cell depend on prediction streams, so this
 //! equivalence is the gate on the whole structure-of-arrays layer.
 
+use predictors::configs::{self, Budget};
 use predictors::{
     BcGskew, Bimodal, DirectionPredictor, DynamicAllocator, GAs, Gshare, HistoryBits, Local, Pc,
     PredictInput, Prediction, Tage, TaggedGshare, Yags,
@@ -32,6 +33,45 @@ fn stream(hist_len: usize, n: usize, seed: u64) -> Vec<PredictInput> {
             _ => rng.gen_bool(0.5),                   // noise
         };
         out.push(PredictInput { pc, hist, taken });
+        hist.push(taken);
+    }
+    out
+}
+
+/// A stream over 256 distinct statics, for predictors at the sizes replay
+/// runs. Half the elements come from 16 hot statics that own slots 0..16
+/// of the H2P allocator's 32-entry tracker; all of them mispredict often
+/// enough to be flagged, so they fill a 16-slot allocator. The other half
+/// come from 240 statics that share slots 16..32, fifteen to a slot, so
+/// the tracker keeps evicting one profile for another.
+fn wide_stream(hist_len: usize, n: usize, seed: u64) -> Vec<PredictInput> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut hist = HistoryBits::new(hist_len);
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        // Branch `k` sits at word `0x10_0000 + k`, in tracker slot `k % 32`.
+        let (k, taken) = if rng.gen_bool(0.5) {
+            let k = rng.gen_range(0usize..16);
+            let taken = if k.is_multiple_of(2) {
+                rng.gen_bool(0.5)
+            } else {
+                hist.outcome(k % 7) ^ rng.gen_bool(0.3)
+            };
+            (k, taken)
+        } else {
+            let c = rng.gen_range(0usize..240);
+            let taken = match c % 3 {
+                0 => c.is_multiple_of(2),
+                1 => (i / (c % 13 + 1)).is_multiple_of(2),
+                _ => rng.gen_bool(0.5),
+            };
+            (32 * (c / 16) + 16 + c % 16, taken)
+        };
+        out.push(PredictInput {
+            pc: Pc::new(0x40_0000 + (k as u64) * 4),
+            hist,
+            taken,
+        });
         hist.push(taken);
     }
     out
@@ -63,22 +103,32 @@ fn scalar_run<P: DirectionPredictor>(p: &mut P, inputs: &[PredictInput]) -> Vec<
         .collect()
 }
 
-/// Asserts batched == scalar: directions element-for-element, then the full
-/// predictor state (via `PartialEq` over every table word, weight, tag and
-/// LRU stamp), for both `predict_block` and `train_block`.
+/// Asserts batched == scalar on [`stream`] with a register of the
+/// predictor's own history length.
 fn assert_batch_equiv<P>(make: impl Fn() -> P, seed: u64)
 where
     P: DirectionPredictor + PartialEq + std::fmt::Debug,
 {
+    let hist_len = make().history_len().max(1);
+    assert_batch_equiv_on(make, &stream(hist_len, 4096, seed), seed);
+}
+
+/// Asserts batched == scalar over `inputs`: directions element-for-element,
+/// then the full predictor state (via `PartialEq` over every table word,
+/// weight, tag and LRU stamp), for `predict_block`, `train_block`,
+/// `replay_block` and a mix of the first two. Returns the scalar run's
+/// final predictor.
+fn assert_batch_equiv_on<P>(make: impl Fn() -> P, inputs: &[PredictInput], seed: u64) -> P
+where
+    P: DirectionPredictor + PartialEq + std::fmt::Debug,
+{
     let mut scalar = make();
-    let hist_len = scalar.history_len().max(1);
-    let inputs = stream(hist_len, 4096, seed);
-    let scalar_preds = scalar_run(&mut scalar, &inputs);
+    let scalar_preds = scalar_run(&mut scalar, inputs);
 
     // predict_block over random chunk sizes.
     let mut batched = make();
     let mut batched_preds = Vec::with_capacity(inputs.len());
-    for chunk in random_chunks(&inputs, seed ^ 0x000c_4a17) {
+    for chunk in random_chunks(inputs, seed ^ 0x000c_4a17) {
         let block = batched.predict_block(chunk);
         assert_eq!(block.len(), chunk.len());
         for i in 0..block.len() {
@@ -101,7 +151,7 @@ where
     // train_block must land in the same state (predict has no side effects,
     // so a train-only pass tracks the scalar state exactly).
     let mut trained = make();
-    for chunk in random_chunks(&inputs, seed ^ 0x7_ea1) {
+    for chunk in random_chunks(inputs, seed ^ 0x7_ea1) {
         trained.train_block(chunk);
     }
     assert_eq!(
@@ -116,7 +166,7 @@ where
     // therefore predict_block) exactly, directions and state.
     let mut replayed = make();
     let mut replay_preds = Vec::with_capacity(inputs.len());
-    for chunk in random_chunks(&inputs, seed ^ 0x000b_10c4) {
+    for chunk in random_chunks(inputs, seed ^ 0x000b_10c4) {
         let pcs: Vec<Pc> = chunk.iter().map(|input| input.pc).collect();
         let mut outcomes = 0u64;
         for (i, input) in chunk.iter().enumerate() {
@@ -145,7 +195,7 @@ where
     // the scalar state (replay alternates them around warm-up boundaries).
     let mut mixed = make();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x3_b0b);
-    for chunk in random_chunks(&inputs, seed ^ 0x3_b0b) {
+    for chunk in random_chunks(inputs, seed ^ 0x3_b0b) {
         if rng.gen_bool(0.5) {
             let _ = mixed.predict_block(chunk);
         } else {
@@ -158,6 +208,7 @@ where
         "{}: predictor state diverged after mixed predict/train blocks",
         scalar.name()
     );
+    scalar
 }
 
 #[test]
@@ -253,6 +304,66 @@ fn tage_with_allocator_batched_equals_scalar() {
         },
         0xa110,
     );
+}
+
+#[test]
+fn tage_with_allocator_on_longer_registers_batched_equals_scalar() {
+    // Registers longer than `history_len` (24): the allocator must index
+    // its dedicated entries with the 24 bits the banks read, on the scalar
+    // path as in `replay_block`, which clips the register. Statics are
+    // flagged online.
+    for len in [40, 64] {
+        let seed = 0x40b ^ len as u64;
+        let p = assert_batch_equiv_on(
+            || Tage::new(256, 64, 4, 8, 24).with_allocator(DynamicAllocator::new(8, 16, 32)),
+            &stream(len, 4096, seed),
+            seed,
+        );
+        assert!(p.allocator().unwrap().flagged_statics() > 0);
+    }
+}
+
+#[test]
+fn replay_lineup_perceptron_batched_equals_scalar() {
+    // The 16 KB row replay runs: 348 rows of 47 history weights.
+    let make = || configs::perceptron(Budget::K16);
+    let inputs = wide_stream(make().history_len(), 8192, 0x9e16);
+    assert_batch_equiv_on(make, &inputs, 0x9e16);
+}
+
+#[test]
+fn perceptron_on_a_short_register_batched_equals_scalar() {
+    // A 20-bit register under 47 weights: positions 20..47 read not-taken.
+    let inputs = wide_stream(20, 8192, 0x9e20);
+    assert_batch_equiv_on(|| configs::perceptron(Budget::K16), &inputs, 0x9e20);
+}
+
+#[test]
+fn replay_lineup_yags_batched_equals_scalar() {
+    let make = || Yags::new(32 * 1024, 1024, 2, 9, 13);
+    let inputs = wide_stream(make().history_len(), 8192, 0x7a16);
+    assert_batch_equiv_on(make, &inputs, 0x7a16);
+}
+
+#[test]
+fn replay_lineup_tage_batched_equals_scalar() {
+    let make = || configs::tage(Budget::K16);
+    let inputs = wide_stream(make().history_len(), 8192, 0x7a9e16);
+    assert_batch_equiv_on(make, &inputs, 0x7a9e16);
+}
+
+#[test]
+fn replay_lineup_tage_h2p_batched_equals_scalar() {
+    // 256 statics against a 16-slot allocator and a 32-entry tracker:
+    // every slot fills, and the flagged statics' dedicated entries and
+    // choosers train for most of the stream.
+    let make = || configs::tage_h2p(Budget::K16);
+    let inputs = wide_stream(make().history_len(), 8192, 0xa116);
+    let statics: std::collections::BTreeSet<Pc> = inputs.iter().map(|e| e.pc).collect();
+    assert_eq!(statics.len(), 256);
+    let p = assert_batch_equiv_on(make, &inputs, 0xa116);
+    let a = p.allocator().unwrap();
+    assert_eq!(a.flagged_statics(), a.capacity());
 }
 
 #[test]
