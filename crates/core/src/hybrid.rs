@@ -125,9 +125,10 @@ impl std::fmt::Display for HybridError {
 
 impl std::error::Error for HybridError {}
 
-/// Initial capacity of the in-flight ring buffer: one more than the
-/// deepest speculation window the simulators drive (their cap is 48), so
-/// steady-state prediction never grows the allocation.
+/// Initial capacity of the in-flight ring buffer: the deepest speculation
+/// window a simulator drives. The cycle feed (`sim::cycle`) holds up to
+/// twice the 32-entry FTQ, 64 branches; the accuracy model caps itself at
+/// 48. Steady-state prediction therefore never grows the allocation.
 const INFLIGHT_CAPACITY: usize = 64;
 
 /// Deferred commit-time trainings are handed to the components' batched
@@ -201,6 +202,11 @@ pub struct ProphetCritic<P, C> {
     bhr: HistoryBits,
     bor: HistoryBits,
     inflight: VecDeque<InFlight>,
+    /// How many of the oldest in-flight branches carry a critique.
+    /// Critiques render strictly oldest-first, so the critiqued branches
+    /// are always a prefix of `inflight` and this is the index of the
+    /// oldest uncritiqued one.
+    critiqued: usize,
     next_seq: u64,
     stats: CritiqueStats,
     /// Commit-time prophet trainings queued since the last prophet read,
@@ -240,9 +246,10 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
             bhr,
             bor,
             // Pre-size for the deepest speculation any driver sustains
-            // (the simulators cap in-flight branches at 48): the hot loop
-            // then never reallocates the ring buffer.
+            // (the cycle feed's 64): the hot loop then never reallocates
+            // the ring buffer.
             inflight: VecDeque::with_capacity(INFLIGHT_CAPACITY),
+            critiqued: 0,
             next_seq: 0,
             stats: CritiqueStats::new(),
             pending_prophet: Vec::with_capacity(TRAIN_CHUNK),
@@ -401,7 +408,16 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
     }
 
     fn oldest_uncritiqued(&self) -> Option<usize> {
-        self.inflight.iter().position(|b| b.critique.is_none())
+        // Oracle: the scan the counter replaces.
+        debug_assert_eq!(
+            self.critiqued,
+            self.inflight
+                .iter()
+                .position(|b| b.critique.is_none())
+                .unwrap_or(self.inflight.len()),
+            "the critiqued branches are a prefix of the in-flight queue"
+        );
+        (self.critiqued < self.inflight.len()).then_some(self.critiqued)
     }
 
     /// Whether the oldest uncritiqued branch has gathered enough future bits
@@ -473,6 +489,7 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
         }
 
         self.inflight[idx].critique = Some(CritiqueRecord { decision, bor_used });
+        self.critiqued = idx + 1;
 
         CritiqueEvent {
             id,
@@ -514,12 +531,14 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
             // branch's checkpoints, inserting the now-known outcome (§3.3).
             flushed = self.inflight.len() - 1;
             self.inflight.clear();
+            self.critiqued = 0;
             self.bhr = head.bhr_at_predict;
             self.bhr.push(outcome);
             self.bor = head.bor_before;
             self.bor.push(outcome);
         } else {
             self.inflight.pop_front();
+            self.critiqued -= 1;
         }
 
         // Non-speculative, commit-time training (§3.2). The critic sees the

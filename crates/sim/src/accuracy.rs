@@ -18,12 +18,16 @@
 //! 3. Critiques drain in order; a disagreement rewinds fetch to the
 //!    disputed branch and redirects it down the critic's direction.
 //! 4. Branches resolve and commit in order. The accuracy model resolves a
-//!    branch as soon as it has been critiqued — equivalent, for every
-//!    accuracy statistic, to the real machine's later resolution, because
-//!    (a) wrong paths extend exactly as far as the future bits the critic
-//!    consumes, (b) squashed branches never train anything, and (c)
-//!    recovery restores the identical state the slow machine would restore.
-//!    (The cycle simulator models the real resolution latency for uPC.)
+//!    branch as soon as it has been critiqued. That is *not* what the real
+//!    machine does, and the counts differ. The cycle feed
+//!    ([`crate::cycle`]) resolves the head only once the fetch clock
+//!    passes its resolve time, so its wrong paths run until the branch
+//!    executes rather than only as far as the critic's future bits, and
+//!    every branch trains the tables later. On the same program, seed and
+//!    budget the two engines' mispredict counts differ by 4–12 % even
+//!    with no critic (`tests/engine_gap.rs`, ignored until one engine
+//!    remains). This engine is the cheap estimate; uPC comes from the
+//!    cycle feed.
 //!
 //! BTB misses are modelled as the paper describes — the branch is not
 //! predicted, and an entry is allocated at commit — with one documented

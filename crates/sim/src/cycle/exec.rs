@@ -32,6 +32,10 @@ pub struct ExecModel<'p, 'h, P, C> {
     hybrid: &'h mut ProphetCritic<P, C>,
     btb: Btb,
     inflight: VecDeque<ExecInflight>,
+    /// Index just past the newest critiqued branch in `inflight`.
+    /// Critiques render oldest-first, so the next one lands at or after
+    /// it; only BTB misses, which the hybrid never predicted, lie between.
+    critiqued: usize,
 }
 
 impl<'p, 'h, P, C> ExecModel<'p, 'h, P, C>
@@ -52,14 +56,27 @@ where
             hybrid,
             btb: Btb::new(m.btb_entries, m.btb_ways),
             inflight: VecDeque::with_capacity(2 * m.ftq_entries + 1),
+            critiqued: 0,
         }
     }
 
-    fn index_of(&self, id: BranchId) -> usize {
-        self.inflight
-            .iter()
-            .position(|r| r.id == Some(id))
-            .expect("critiqued branch is in flight")
+    /// The index of the branch the hybrid just critiqued, which becomes
+    /// the newest critiqued one.
+    fn index_of(&mut self, id: BranchId) -> usize {
+        let idx = self.critiqued
+            + self
+                .inflight
+                .range(self.critiqued..)
+                .position(|r| r.id == Some(id))
+                .expect("critiqued branch is in flight");
+        // Oracle: the scan the cursor replaces.
+        debug_assert_eq!(
+            Some(idx),
+            self.inflight.iter().position(|r| r.id == Some(id)),
+            "critiques render oldest-first"
+        );
+        self.critiqued = idx + 1;
+        idx
     }
 
     fn apply_override(&mut self, idx: usize, final_taken: bool) {
@@ -146,28 +163,24 @@ where
             .inflight
             .front()
             .expect("resolve with a branch in flight");
-        let mispredict = match head.id {
-            None => {
-                self.inflight.pop_front();
-                false
-            }
-            Some(_) => {
-                let res = self
-                    .hybrid
-                    .resolve_oldest(head.outcome)
-                    .expect("critiqued head resolves");
-                if res.mispredict {
-                    // Squash everything younger and restart fetch down the
-                    // resolved outcome.
-                    self.inflight.clear();
-                    self.walker.restore(&head.checkpoint);
-                    self.walker.follow(head.outcome);
-                } else {
-                    self.inflight.pop_front();
-                }
-                res.mispredict
-            }
-        };
+        let mispredict = head.id.is_some()
+            && self
+                .hybrid
+                .resolve_oldest(head.outcome)
+                .expect("critiqued head resolves")
+                .mispredict;
+        if mispredict {
+            // Squash everything younger and restart fetch down the
+            // resolved outcome.
+            self.inflight.clear();
+            self.critiqued = 0;
+            self.walker.restore(&head.checkpoint);
+            self.walker.follow(head.outcome);
+        } else {
+            self.inflight.pop_front();
+            // A BTB-miss head may be older than every critiqued branch.
+            self.critiqued = self.critiqued.saturating_sub(1);
+        }
         self.btb.allocate(Pc::new(head.pc), head.taken_target, true);
         self.walker.release(&head.checkpoint);
         Resolution { mispredict }

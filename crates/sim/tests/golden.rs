@@ -1,10 +1,16 @@
-//! Golden results: `experiments tracecmp` at `SCALE=0.05` must reproduce
-//! the report and stdout checked in under `tests/golden/`, byte for byte.
+//! Golden results: `experiments` runs at `SCALE=0.05` must reproduce the
+//! reports and stdout checked in under `tests/golden/`, byte for byte.
 //!
-//! The report covers every conventional replay entrant, the `perceptron`
-//! and `tage+h2p` prophet hybrids and the `t.tage` critic, so a change that
-//! moves any of their predictions fails here. A change that moves them on
-//! purpose regenerates the files with the command in
+//! * `tracecmp` covers every conventional replay entrant, the `perceptron`
+//!   and `tage+h2p` prophet hybrids and the `t.tage` critic.
+//! * The twelve paper experiments (`table1`–`table4`, `fig5`–`fig10`,
+//!   `headline`, `ablation`) cover the accuracy engine and the cycle
+//!   engine, fig8's cycle-grid columns and headline's uPC row included.
+//! * `h2p` drives `run_accuracy_observed` through the tuned hybrid and the
+//!   TAGE allocator ablation.
+//!
+//! A change that moves any of their numbers fails here. A change that
+//! moves them on purpose regenerates the files with the command in
 //! `tests/golden/README.md`, in the same commit.
 
 use std::path::{Path, PathBuf};
@@ -46,14 +52,17 @@ fn mismatch(name: &str, got: &[u8]) -> Option<String> {
     Some(out)
 }
 
-#[test]
-fn tracecmp_reproduces_the_golden_report_and_stdout() {
-    let dir = std::env::temp_dir().join(format!("sim-golden-tracecmp-{}", std::process::id()));
+/// Runs `experiments --threads 2 <ids>` at `SCALE=0.05` in a fresh
+/// directory and returns its stdout and the contents of `report`, a file
+/// the run writes there.
+fn run_experiments(ids: &[&str], report: &str) -> (Vec<u8>, Vec<u8>) {
+    let dir = std::env::temp_dir().join(format!("sim-golden-{}-{}", ids[0], std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     // Settings that would change the run come only from the arguments.
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["--threads", "2", "tracecmp"])
+        .args(["--threads", "2"])
+        .args(ids)
         .current_dir(&dir)
         .env("SCALE", "0.05")
         .env_remove("FAULT_PLAN")
@@ -64,21 +73,56 @@ fn tracecmp_reproduces_the_golden_report_and_stdout() {
         .unwrap();
     assert!(
         out.status.success(),
-        "experiments tracecmp failed: {}",
+        "experiments {ids:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report = std::fs::read(dir.join("BENCH_tracecmp.json")).unwrap();
+    let report = std::fs::read(dir.join(report)).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    let diffs: Vec<String> = [
-        mismatch("tracecmp.json", &report),
-        mismatch("tracecmp.txt", &out.stdout),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
+    (out.stdout, report)
+}
+
+/// Fails with the first differing lines of every golden in `checks`
+/// that `ids`' output no longer reproduces.
+fn assert_golden(ids: &[&str], checks: &[Option<String>]) {
+    let diffs: Vec<&str> = checks.iter().flatten().map(String::as_str).collect();
     assert!(
         diffs.is_empty(),
-        "tracecmp drifted from tests/golden/ (see tests/golden/README.md):\n{}",
+        "experiments {ids:?} drifted from tests/golden/ (see tests/golden/README.md):\n{}",
         diffs.join("")
+    );
+}
+
+#[test]
+fn tracecmp_reproduces_the_golden_report_and_stdout() {
+    let ids = ["tracecmp"];
+    let (stdout, report) = run_experiments(&ids, "BENCH_tracecmp.json");
+    assert_golden(
+        &ids,
+        &[
+            mismatch("tracecmp.json", &report),
+            mismatch("tracecmp.txt", &stdout),
+        ],
+    );
+}
+
+#[test]
+fn the_twelve_paper_experiments_reproduce_the_golden_stdout() {
+    let ids = [
+        "table1", "table2", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+        "headline", "ablation",
+    ];
+    // The run must write the headline report, but it carries wall-clock
+    // times, so only stdout is pinned.
+    let (stdout, _) = run_experiments(&ids, "BENCH_headline.json");
+    assert_golden(&ids, &[mismatch("experiments.txt", &stdout)]);
+}
+
+#[test]
+fn h2p_reproduces_the_golden_report_and_stdout() {
+    let ids = ["h2p"];
+    let (stdout, report) = run_experiments(&ids, "BENCH_h2p.json");
+    assert_golden(
+        &ids,
+        &[mismatch("h2p.json", &report), mismatch("h2p.txt", &stdout)],
     );
 }
