@@ -8,6 +8,8 @@
 //!   engine, fig8's cycle-grid columns and headline's uPC row included.
 //! * `h2p` drives `run_accuracy_observed` through the tuned hybrid and the
 //!   TAGE allocator ablation.
+//! * `tune` under `TUNE_PRESET=quick` covers the staged search, its
+//!   ranking and its H2P slices.
 //!
 //! A change that moves any of their numbers fails here. A change that
 //! moves them on purpose regenerates the files with the command in
@@ -52,10 +54,10 @@ fn mismatch(name: &str, got: &[u8]) -> Option<String> {
     Some(out)
 }
 
-/// Runs `experiments --threads 2 <ids>` at `SCALE=0.05` in a fresh
-/// directory and returns its stdout and the contents of `report`, a file
-/// the run writes there.
-fn run_experiments(ids: &[&str], report: &str) -> (Vec<u8>, Vec<u8>) {
+/// Runs `experiments --threads 2 <ids>` at `SCALE=0.05`, with the
+/// environment variables `vars` set, in a fresh directory and returns its
+/// stdout and the contents of `report`, a file the run writes there.
+fn run_experiments(ids: &[&str], vars: &[(&str, &str)], report: &str) -> (Vec<u8>, Vec<u8>) {
     let dir = std::env::temp_dir().join(format!("sim-golden-{}-{}", ids[0], std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -69,6 +71,9 @@ fn run_experiments(ids: &[&str], report: &str) -> (Vec<u8>, Vec<u8>) {
         .env_remove("CELL_STORE")
         .env_remove("EXP_BENCH")
         .env_remove("CORPUS_TRACES")
+        .env_remove("TUNE_PRESET")
+        .env_remove("TUNE_H2P_WEIGHT")
+        .envs(vars.iter().copied())
         .output()
         .unwrap();
     assert!(
@@ -95,7 +100,7 @@ fn assert_golden(ids: &[&str], checks: &[Option<String>]) {
 #[test]
 fn tracecmp_reproduces_the_golden_report_and_stdout() {
     let ids = ["tracecmp"];
-    let (stdout, report) = run_experiments(&ids, "BENCH_tracecmp.json");
+    let (stdout, report) = run_experiments(&ids, &[], "BENCH_tracecmp.json");
     assert_golden(
         &ids,
         &[
@@ -113,16 +118,29 @@ fn the_twelve_paper_experiments_reproduce_the_golden_stdout() {
     ];
     // The run must write the headline report, but it carries wall-clock
     // times, so only stdout is pinned.
-    let (stdout, _) = run_experiments(&ids, "BENCH_headline.json");
+    let (stdout, _) = run_experiments(&ids, &[], "BENCH_headline.json");
     assert_golden(&ids, &[mismatch("experiments.txt", &stdout)]);
 }
 
 #[test]
 fn h2p_reproduces_the_golden_report_and_stdout() {
     let ids = ["h2p"];
-    let (stdout, report) = run_experiments(&ids, "BENCH_h2p.json");
+    let (stdout, report) = run_experiments(&ids, &[], "BENCH_h2p.json");
     assert_golden(
         &ids,
         &[mismatch("h2p.json", &report), mismatch("h2p.txt", &stdout)],
+    );
+}
+
+#[test]
+fn quick_tune_reproduces_the_golden_report_and_stdout() {
+    let ids = ["tune"];
+    let (stdout, report) = run_experiments(&ids, &[("TUNE_PRESET", "quick")], "BENCH_tune.json");
+    assert_golden(
+        &ids,
+        &[
+            mismatch("tune.json", &report),
+            mismatch("tune.txt", &stdout),
+        ],
     );
 }
