@@ -107,6 +107,14 @@ pub fn run_pipeline<M: PipelineModel>(
     // after the restart finds no other misses to overlap with: its data
     // stalls are charged un-overlapped (MLP = 1).
     let mut window_drained = true;
+    // Each level's stall beyond an L1 hit, shared over the MLP, indexed
+    // by `AccessLevel as usize` (L1, L2, memory): for a drained window
+    // (MLP 1) and for an overlapped one.
+    let stall_shares = |mlp: u64| {
+        [m.l1d.hit_cycles, m.l2.hit_cycles, m.memory_cycles()]
+            .map(|lat| lat.saturating_sub(m.l1d.hit_cycles) as f64 / mlp as f64)
+    };
+    let (drained_shares, overlapped_shares) = (stall_shares(1), stall_shares(config.mlp));
 
     'run: while committed < config.max_uops {
         let measuring = committed >= config.warmup_uops;
@@ -125,13 +133,15 @@ pub fn run_pipeline<M: PipelineModel>(
                 // Data-side stalls attributable to this chunk, overlapped
                 // by MLP (none available right after a flush drained the
                 // window).
-                let mlp = if window_drained { 1 } else { config.mlp };
+                let shares = if window_drained {
+                    &drained_shares
+                } else {
+                    &overlapped_shares
+                };
                 window_drained = false;
                 let mut stall = 0.0;
                 stream.for_each_access(chunk.pc, chunk.uops, |addr| {
-                    let (lat, _) = data.access(addr);
-                    let beyond_l1 = lat.saturating_sub(m.l1d.hit_cycles) as f64;
-                    stall += beyond_l1 / mlp as f64;
+                    stall += shares[data.access(addr).1 as usize];
                 });
                 let _ = engine.fetch(chunk.pc, chunk.uops, stall, chunk.critiqued_at_fetch);
                 if chunk.btb_redirect {

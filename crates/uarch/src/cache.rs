@@ -16,10 +16,10 @@ const INVALID: u64 = u64::MAX;
 /// One set-associative cache level with true-LRU replacement.
 ///
 /// Each set is a run of `ways` tags in recency order, most recently used
-/// first, with empty ways at the end. A hit moves its tag to the front; a
-/// miss shifts the whole set back one way, dropping the last way (an empty
-/// one while the set is filling, the LRU line once it is full), and puts
-/// the new tag at the front.
+/// first, with empty ways at the end. An access moves its tag to the
+/// front: a hit carries the ways ahead of the tag's old slot down one, a
+/// miss carries the whole set down one, dropping the last way (an empty
+/// one while the set is filling, the LRU line once it is full).
 #[derive(Clone, Debug)]
 pub struct Cache {
     /// `sets × ways` tags, set-major.
@@ -30,6 +30,22 @@ pub struct Cache {
     set_mask: u64,
     hits: u64,
     misses: u64,
+}
+
+/// Moves `tag` to the front of `ways` in one pass: puts it in way 0 and
+/// carries each way down one slot, stopping at the slot the tag left.
+/// Returns whether the tag was there; if not, every way moved and the
+/// last one dropped out.
+fn move_to_front(ways: &mut [u64], tag: u64) -> bool {
+    let mut carry = tag;
+    for way in ways {
+        let old = std::mem::replace(way, carry);
+        if old == tag {
+            return true;
+        }
+        carry = old;
+    }
+    false
 }
 
 impl Cache {
@@ -71,10 +87,8 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
         let ways = &mut self.tags[set];
-        let found = ways.iter().position(|&t| t == tag);
-        ways.copy_within(..found.unwrap_or(ways.len() - 1), 1);
-        ways[0] = tag;
-        let hit = found.is_some();
+        // Most hits are on the most recent way, which needs no move.
+        let hit = ways[0] == tag || move_to_front(ways, tag);
         self.hits += u64::from(hit);
         self.misses += u64::from(!hit);
         hit
@@ -86,8 +100,7 @@ impl Cache {
         let (set, tag) = self.locate(addr);
         let ways = &mut self.tags[set];
         if !ways.contains(&tag) {
-            ways.copy_within(..ways.len() - 1, 1);
-            ways[0] = tag;
+            move_to_front(ways, tag);
         }
     }
 
@@ -114,51 +127,76 @@ impl Cache {
 /// A simple stream-based hardware prefetcher (Table 2: 16 streams).
 ///
 /// Detects ascending line-granularity streams on L2 accesses and prefetches
-/// the next lines into L2.
+/// the next lines into L2. A new stream replaces the least recently used
+/// slot; slots no stream has touched yet go first, in slot order.
 #[derive(Clone, Debug)]
 struct StreamPrefetcher {
-    /// (last line, confidence) per stream, LRU by slot age.
-    streams: Vec<(u64, u32, u64)>,
-    clock: u64,
+    /// Last line seen per stream slot; `u64::MAX` in a slot never touched.
+    last: Vec<u64>,
+    /// Confidence per stream slot, saturating at 8.
+    confidence: Vec<u32>,
+    /// The slots in recency order, a circular doubly linked list through
+    /// node `n` (one past the last slot): `newer[n]` is the least recently
+    /// used slot, `older[n]` the most recent. Untouched slots start the
+    /// list in slot order.
+    newer: Vec<usize>,
+    older: Vec<usize>,
     issued: u64,
 }
 
 impl StreamPrefetcher {
+    /// Builds a prefetcher with `n` stream slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0: a new stream needs a slot to take.
     fn new(n: usize) -> Self {
+        assert!(n > 0, "prefetcher has streams");
         Self {
-            streams: vec![(u64::MAX, 0, 0); n],
-            clock: 0,
+            last: vec![u64::MAX; n],
+            confidence: vec![0; n],
+            newer: (0..=n).map(|s| (s + 1) % (n + 1)).collect(),
+            older: (0..=n).map(|s| (s + n) % (n + 1)).collect(),
             issued: 0,
         }
+    }
+
+    /// Makes `slot` the most recently used.
+    fn touch(&mut self, slot: usize) {
+        let (older, newer) = (self.older[slot], self.newer[slot]);
+        self.newer[older] = newer;
+        self.older[newer] = older;
+        let end = self.last.len();
+        let mru = self.older[end];
+        self.newer[mru] = slot;
+        self.older[slot] = mru;
+        self.newer[slot] = end;
+        self.older[end] = slot;
     }
 
     /// Observes a demand line address; returns how many of the lines after
     /// it to prefetch.
     fn observe(&mut self, line: u64) -> u64 {
-        self.clock += 1;
-        // Existing stream one line behind?
-        if let Some(s) = self
-            .streams
-            .iter_mut()
-            .find(|(last, _, _)| last.wrapping_add(1) == line)
-        {
-            s.0 = line;
-            s.1 = (s.1 + 1).min(8);
-            s.2 = self.clock;
-            if s.1 >= 2 {
-                let depth = u64::from(s.1.min(4));
+        // Existing stream one line behind? The first in slot order wins
+        // (an untouched slot's `u64::MAX` is one line behind line 0).
+        let behind = line.wrapping_sub(1);
+        if let Some(slot) = self.last.iter().position(|&last| last == behind) {
+            self.last[slot] = line;
+            let confidence = (self.confidence[slot] + 1).min(8);
+            self.confidence[slot] = confidence;
+            self.touch(slot);
+            if confidence >= 2 {
+                let depth = u64::from(confidence.min(4));
                 self.issued += depth;
                 return depth;
             }
             return 0;
         }
         // Allocate a new stream over the LRU slot.
-        let slot = self
-            .streams
-            .iter_mut()
-            .min_by_key(|(_, _, age)| *age)
-            .expect("prefetcher has streams");
-        *slot = (line, 0, self.clock);
+        let slot = self.newer[self.last.len()];
+        self.last[slot] = line;
+        self.confidence[slot] = 0;
+        self.touch(slot);
         0
     }
 }
@@ -190,6 +228,11 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the Table 2 data hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` has no prefetch streams, or a data cache geometry
+    /// [`Cache::new`] rejects.
     #[must_use]
     pub fn new(m: &MachineParams) -> Self {
         Self {
@@ -296,6 +339,16 @@ mod tests {
         assert_eq!(lvl, AccessLevel::L1);
         assert_eq!(l1, 3);
         assert_eq!(h.counts(), (1, 0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetcher has streams")]
+    fn zero_prefetch_streams_fail_at_construction() {
+        let m = MachineParams {
+            prefetch_streams: 0,
+            ..MachineParams::isca04()
+        };
+        let _ = Hierarchy::new(&m);
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub struct DataProfile {
     pub working_set: u64,
     /// Permille of blocks whose accesses stream sequentially.
     pub streaming_permille: u16,
-    /// Data accesses per `access_every` uops (1 access per N uops).
+    /// Uops per data access: a visit of `u` uops issues
+    /// `u / uops_per_access` accesses, rounded down (0 counts as 1).
     pub uops_per_access: u32,
 }
 

@@ -1,11 +1,12 @@
 //! Differential suite for the flat data-side hierarchy.
 //!
 //! `uarch::Cache` keeps each set's tags in most-recently-used-first order in
-//! one flat array, the prefetcher returns a prefetch depth, and
-//! `DataStream` hands each address to a closure. The `reference` module
-//! below keeps the layout they replaced: per-set vectors of
-//! `(valid, tag, lru stamp)` under a global access clock, a prefetcher
-//! that returns the lines to fetch as a `Vec`, and a `Vec`-returning,
+//! one flat array, the prefetcher keeps its slots in a recency list and
+//! returns a prefetch depth, and `DataStream` hands each address to a
+//! closure. The `reference` module below keeps the layout they replaced:
+//! per-set vectors of `(valid, tag, lru stamp)` under a global access
+//! clock, a prefetcher that evicts the slot with the oldest age stamp and
+//! returns the lines to fetch as a `Vec`, and a `Vec`-returning,
 //! SipHash-keyed address generator. Every cycle-model figure and every
 //! cached cell depends on the data side's hits, misses and prefetches, so
 //! the two must agree call for call: every access result, every
@@ -254,8 +255,9 @@ impl XorShift {
     }
 }
 
-/// The unit-test geometry (8 sets × 2 ways) and Table 2's I-cache
-/// (128 × 8), L1D (32 × 16) and L2 (2048 × 16).
+/// The unit-test geometry (8 sets × 2 ways), a direct-mapped one
+/// (16 × 1, where the most recent way is the whole set) and Table 2's
+/// I-cache (128 × 8), L1D (32 × 16) and L2 (2048 × 16).
 fn geometries() -> Vec<(&'static str, CacheParams)> {
     let m = MachineParams::isca04();
     let tiny = CacheParams {
@@ -264,12 +266,26 @@ fn geometries() -> Vec<(&'static str, CacheParams)> {
         line_bytes: 64,
         hit_cycles: 1,
     };
+    let direct = CacheParams { ways: 1, ..tiny };
     vec![
         ("tiny", tiny),
+        ("direct", direct),
         ("icache", m.icache),
         ("l1d", m.l1d),
         ("l2", m.l2),
     ]
+}
+
+/// Prefetcher sizes the hierarchy tests run: a single slot (its own
+/// least and most recent), two, three and Table 2's sixteen.
+const STREAM_COUNTS: [usize; 4] = [1, 2, 3, 16];
+
+/// Table 2's machine with `streams` prefetch streams.
+fn machine(streams: usize) -> MachineParams {
+    MachineParams {
+        prefetch_streams: streams,
+        ..MachineParams::isca04()
+    }
 }
 
 /// Applies one operation to both caches and compares everything the
@@ -413,41 +429,44 @@ fn hierarchy_step(flat: &mut Hierarchy, oracle: &mut reference::Hierarchy, addr:
 
 #[test]
 fn hierarchy_matches_reference_on_every_data_profile() {
-    let m = MachineParams::isca04();
     let profiles = [
         ("streaming", DataProfile::streaming()),
         ("scattered", DataProfile::scattered()),
         ("resident", DataProfile::resident()),
     ];
-    for (name, profile) in profiles {
-        for seed in [0x5EED_u64, 0x15CA_2004] {
-            let mut rng = XorShift::new(seed);
-            let mut stream = DataStream::new(profile, seed);
-            let mut oracle_stream = reference::DataStream::new(profile, seed);
-            let mut flat = Hierarchy::new(&m);
-            let mut oracle = reference::Hierarchy::new(&m);
-            // A program of 600 static blocks, visited at random with
-            // varying chunk sizes, as the pipeline feeds wrong paths.
-            let blocks: Vec<u64> = (0..600)
-                .map(|_| 0x40_0000 + rng.below(1 << 18) * 4)
-                .collect();
-            let mut op = 0;
-            for _ in 0..40_000 {
-                let key = blocks[rng.below(blocks.len() as u64) as usize];
-                let uops = 1 + rng.below(40);
-                let mut got = Vec::new();
-                stream.for_each_access(key, uops, |a| got.push(a));
-                let want = oracle_stream.accesses(key, uops);
-                assert_eq!(got, want, "{name}: addresses of block {key:#x}");
-                for addr in want {
-                    op += 1;
-                    hierarchy_step(&mut flat, &mut oracle, addr, op);
+    for streams in STREAM_COUNTS {
+        let m = machine(streams);
+        for (profile_name, profile) in profiles {
+            let name = format!("{profile_name}, {streams} streams");
+            for seed in [0x5EED_u64, 0x15CA_2004] {
+                let mut rng = XorShift::new(seed);
+                let mut stream = DataStream::new(profile, seed);
+                let mut oracle_stream = reference::DataStream::new(profile, seed);
+                let mut flat = Hierarchy::new(&m);
+                let mut oracle = reference::Hierarchy::new(&m);
+                // A program of 600 static blocks, visited at random with
+                // varying chunk sizes, as the pipeline feeds wrong paths.
+                let blocks: Vec<u64> = (0..600)
+                    .map(|_| 0x40_0000 + rng.below(1 << 18) * 4)
+                    .collect();
+                let mut op = 0;
+                for _ in 0..40_000 {
+                    let key = blocks[rng.below(blocks.len() as u64) as usize];
+                    let uops = 1 + rng.below(40);
+                    let mut got = Vec::new();
+                    stream.for_each_access(key, uops, |a| got.push(a));
+                    let want = oracle_stream.accesses(key, uops);
+                    assert_eq!(got, want, "{name}: addresses of block {key:#x}");
+                    for addr in want {
+                        op += 1;
+                        hierarchy_step(&mut flat, &mut oracle, addr, op);
+                    }
                 }
+                assert!(
+                    flat.counts().2 > 0 && flat.prefetches() > 0,
+                    "{name}: the run must reach memory and the prefetcher"
+                );
             }
-            assert!(
-                flat.counts().2 > 0 && flat.prefetches() > 0,
-                "{name}: the run must reach memory and the prefetcher"
-            );
         }
     }
 }
@@ -458,27 +477,31 @@ fn hierarchy_matches_reference_on_interleaved_streams() {
     // scattered traffic and restarted where other streams are: streams
     // overtake each other and reuse slots. A restarted stream re-touches
     // lines still in the L1, so the prefetcher rarely sees one line twice;
-    // the next test covers that case.
-    let m = MachineParams::isca04();
-    let mut rng = XorShift::new(7);
-    let mut flat = Hierarchy::new(&m);
-    let mut oracle = reference::Hierarchy::new(&m);
-    let mut heads: Vec<u64> = (0..24).map(|i| 0x7_0000_0000 + i * 0x10_0000).collect();
-    for op in 0..200_000u64 {
-        let addr = match rng.below(8) {
-            0 => 0x7_0000_0000 + rng.below(96 << 20),
-            1 => {
-                let (a, b) = (rng.below(24) as usize, rng.below(24) as usize);
-                heads[a] = heads[b];
-                heads[a]
-            }
-            _ => {
-                let s = rng.below(24) as usize;
-                heads[s] += 64 * (1 + rng.below(2));
-                heads[s]
-            }
-        };
-        hierarchy_step(&mut flat, &mut oracle, addr, op);
+    // the next test covers that case. Fewer slots than streams make every
+    // prefetcher size recycle its slots.
+    for streams in STREAM_COUNTS {
+        let m = machine(streams);
+        let mut rng = XorShift::new(7);
+        let mut flat = Hierarchy::new(&m);
+        let mut oracle = reference::Hierarchy::new(&m);
+        let mut heads: Vec<u64> = (0..24).map(|i| 0x7_0000_0000 + i * 0x10_0000).collect();
+        for op in 0..200_000u64 {
+            let addr = match rng.below(8) {
+                0 => 0x7_0000_0000 + rng.below(96 << 20),
+                1 => {
+                    let (a, b) = (rng.below(24) as usize, rng.below(24) as usize);
+                    heads[a] = heads[b];
+                    heads[a]
+                }
+                _ => {
+                    let s = rng.below(24) as usize;
+                    heads[s] += 64 * (1 + rng.below(2));
+                    heads[s]
+                }
+            };
+            hierarchy_step(&mut flat, &mut oracle, addr, op);
+        }
+        assert!(flat.prefetches() > 0, "{streams} streams must prefetch");
     }
 }
 
@@ -518,14 +541,16 @@ fn streams_sharing_a_last_line_resolve_in_slot_order() {
 fn hierarchy_matches_reference_from_line_zero() {
     // The prefetcher's empty slots hold line `u64::MAX`, one line behind
     // line 0, so line 0 continues an empty slot's "stream".
-    let m = MachineParams::isca04();
-    let mut flat = Hierarchy::new(&m);
-    let mut oracle = reference::Hierarchy::new(&m);
-    for (op, addr) in [0, 64, 128, 0, 192, 256, 64 << 20, 0]
-        .into_iter()
-        .enumerate()
-    {
-        hierarchy_step(&mut flat, &mut oracle, addr, op as u64);
+    for streams in STREAM_COUNTS {
+        let m = machine(streams);
+        let mut flat = Hierarchy::new(&m);
+        let mut oracle = reference::Hierarchy::new(&m);
+        for (op, addr) in [0, 64, 128, 0, 192, 256, 64 << 20, 0]
+            .into_iter()
+            .enumerate()
+        {
+            hierarchy_step(&mut flat, &mut oracle, addr, op as u64);
+        }
+        assert!(flat.prefetches() > 0, "{streams} streams must prefetch");
     }
-    assert!(flat.prefetches() > 0);
 }
