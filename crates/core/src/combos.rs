@@ -5,14 +5,12 @@
 //! filtered critics (tagged gshare, filtered perceptron) and one unfiltered
 //! critic (perceptron), at the Table 3 budgets. [`HybridSpec`] names such a
 //! combination and [`HybridSpec::build`] constructs the monomorphized
-//! engine ([`Hybrid`]); [`HybridSpec::build_boxed`] still produces the
-//! old trait-object engine for open-set compositions.
+//! engine ([`Hybrid`]).
 
 use predictors::configs::{self, Budget};
-use predictors::DirectionPredictor;
 
 use crate::critic::{
-    Critic, FilteredPerceptronCritic, NullCritic, TageCritic, TaggedGshareCritic, UnfilteredCritic,
+    FilteredPerceptronCritic, NullCritic, TageCritic, TaggedGshareCritic, UnfilteredCritic,
 };
 use crate::dispatch::{AnyCritic, AnyProphet};
 use crate::hybrid::ProphetCritic;
@@ -75,15 +73,6 @@ impl ProphetKind {
             ProphetKind::Tage => AnyProphet::Tage(configs::tage(budget)),
             ProphetKind::TageH2p => AnyProphet::Tage(configs::tage_h2p(budget)),
         }
-    }
-
-    /// Builds the prophet as a heap-allocated trait object (the pre-engine
-    /// path, kept for open-set compositions and equivalence testing).
-    /// Construction is shared with [`build`](Self::build) so the two
-    /// paths cannot drift apart.
-    #[must_use]
-    pub fn build_boxed(self, budget: Budget) -> Box<dyn DirectionPredictor> {
-        self.build(budget).into()
     }
 }
 
@@ -155,15 +144,6 @@ impl CriticKind {
             CriticKind::Tage => AnyCritic::Tage(TageCritic::new(configs::tage(budget))),
         }
     }
-
-    /// Builds the critic as a heap-allocated trait object (the pre-engine
-    /// path, kept for open-set compositions and equivalence testing).
-    /// Construction is shared with [`build`](Self::build) so the two
-    /// paths cannot drift apart.
-    #[must_use]
-    pub fn build_boxed(self, budget: Budget) -> Box<dyn Critic> {
-        self.build(budget).into()
-    }
 }
 
 impl std::fmt::Display for CriticKind {
@@ -196,18 +176,6 @@ pub struct HybridSpec {
 /// The monomorphized hybrid engine built from a [`HybridSpec`]: enum-based
 /// static dispatch end to end, no vtables on the per-branch hot path.
 pub type Hybrid = ProphetCritic<AnyProphet, AnyCritic>;
-
-/// Compatibility alias for the engine [`HybridSpec::build`] returns.
-///
-/// Historically this named the boxed trait-object engine; the experiment
-/// engine now monomorphizes the hot path, so the alias points at
-/// [`Hybrid`]. Code that needs genuine trait objects should use
-/// [`BoxedHybrid`] via [`HybridSpec::build_boxed`].
-pub type DynHybrid = Hybrid;
-
-/// The heap-allocated trait-object engine, for compositions outside the
-/// closed [`AnyProphet`]/[`AnyCritic`] set.
-pub type BoxedHybrid = ProphetCritic<Box<dyn DirectionPredictor>, Box<dyn Critic>>;
 
 impl HybridSpec {
     /// A prophet-alone baseline at `budget`.
@@ -280,16 +248,6 @@ impl HybridSpec {
         .with_confident_override(true)
     }
 
-    /// Builds this spec's critic with the override-confidence flag
-    /// applied — shared by [`build`](Self::build) and
-    /// [`build_boxed`](Self::build_boxed) so the two engines cannot
-    /// drift.
-    fn build_critic(&self) -> AnyCritic {
-        let mut critic = self.critic.build(self.critic_budget);
-        critic.set_confident_override(self.confident_override);
-        critic
-    }
-
     /// Builds the monomorphized hybrid engine.
     ///
     /// # Examples
@@ -320,20 +278,11 @@ impl HybridSpec {
     /// ```
     #[must_use]
     pub fn build(&self) -> Hybrid {
+        let mut critic = self.critic.build(self.critic_budget);
+        critic.set_confident_override(self.confident_override);
         ProphetCritic::new(
             self.prophet.build(self.prophet_budget),
-            self.build_critic(),
-            self.future_bits,
-        )
-    }
-
-    /// Builds the trait-object engine (the pre-monomorphization path; the
-    /// equivalence tests pin `build` to it prediction-for-prediction).
-    #[must_use]
-    pub fn build_boxed(&self) -> BoxedHybrid {
-        ProphetCritic::new(
-            self.prophet.build_boxed(self.prophet_budget),
-            self.build_critic().into(),
+            critic,
             self.future_bits,
         )
     }

@@ -120,14 +120,6 @@ macro_rules! prophet_from {
 
 prophet_from!(Bimodal, Gshare, GAs, Local, BcGskew, Perceptron, Yags, Tage);
 
-impl From<AnyProphet> for Box<dyn DirectionPredictor> {
-    /// Unwraps the enum into a trait object over the same concrete
-    /// predictor, so builders can construct once and box on demand.
-    fn from(p: AnyProphet) -> Self {
-        each_prophet!(p, inner => Box::new(inner))
-    }
-}
-
 /// Every concrete critic, statically dispatched.
 ///
 /// The unfiltered variant wraps [`AnyProphet`] so *any* component
@@ -229,14 +221,6 @@ impl From<FilteredPerceptronCritic> for AnyCritic {
 impl From<TageCritic> for AnyCritic {
     fn from(c: TageCritic) -> Self {
         AnyCritic::Tage(c)
-    }
-}
-
-impl From<AnyCritic> for Box<dyn Critic> {
-    /// Unwraps the enum into a trait object over the same concrete
-    /// critic, so builders can construct once and box on demand.
-    fn from(c: AnyCritic) -> Self {
-        each_critic!(c, inner => Box::new(inner))
     }
 }
 

@@ -67,7 +67,7 @@ mod critique;
 mod dispatch;
 mod hybrid;
 
-pub use combos::{BoxedHybrid, CriticKind, DynHybrid, Hybrid, HybridSpec, ProphetKind};
+pub use combos::{CriticKind, Hybrid, HybridSpec, ProphetKind};
 pub use critic::{
     AllocationPolicy, Critic, CriticTrainInput, FilteredPerceptronCritic, NullCritic, TageCritic,
     TaggedGshareCritic, UnfilteredCritic,

@@ -186,8 +186,8 @@ pub struct PredictInput {
 /// The directions produced by one batched call, one bit per element in
 /// input order.
 ///
-/// Confidence is not carried — batched consumers (replay, throughput) only
-/// score directions. Callers that need confidence use the scalar
+/// Confidence is not carried — the batched consumer (trace replay) only
+/// scores directions. Callers that need confidence use the scalar
 /// [`DirectionPredictor::predict`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct PredictBlock {

@@ -21,12 +21,12 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
-use bptrace::{BranchProfile, BranchRecord, BtBlockReader, BtBlockWriter, BtReader, BtWriter};
+use bptrace::{BranchProfile, BranchRecord, BtBlockWriter, BtReader, BtWriter};
 use predictors::DirectionPredictor;
 use workloads::{Benchmark, Program, Snapshot, Walker};
 
 use crate::checksum::{hash_file, HashingWriter};
-use crate::engine::{replay_blocks, replay_reader, ReplayConfig, ReplayResult};
+use crate::engine::{replay_stream, ReplayConfig, ReplayResult};
 use crate::error::{ReplayError, Result};
 use crate::manifest::{Manifest, TraceEntry};
 
@@ -306,10 +306,9 @@ pub fn migrate_entry(dir: &Path, entry: &TraceEntry) -> Result<TraceEntry> {
 }
 
 /// Replays one corpus entry's trace straight off disk through
-/// `predictor`, negotiating the format version from the file header: v2
-/// traces stream through the chunked block decoder, v1 traces through
-/// the scalar record reader. Memory stays bounded either way — the trace
-/// is never materialized.
+/// `predictor`, whichever format version the file header names. Memory
+/// stays bounded: the trace streams through one decoded block at a time
+/// and is never materialized.
 ///
 /// # Errors
 ///
@@ -320,20 +319,7 @@ pub fn replay_entry<P: DirectionPredictor>(
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
-    use std::io::{Read as _, Seek, SeekFrom};
-    let mut file = std::fs::File::open(dir.join(&entry.bt_file))?;
-    let mut head = [0u8; 6];
-    let is_v2 = file.read_exact(&mut head).is_ok()
-        && bptrace::sniff_version(&head) == Some(bptrace::BT_VERSION);
-    file.seek(SeekFrom::Start(0))?;
-    let reader = BufReader::new(file);
-    if is_v2 {
-        let mut blocks = BtBlockReader::new(reader)?;
-        replay_blocks(&mut blocks, predictor, config)
-    } else {
-        let mut records = BtReader::new(reader)?;
-        replay_reader(&mut records, predictor, config)
-    }
+    replay_stream(&mut open_trace(dir, entry)?, predictor, config)
 }
 
 /// Streams the recorded trace against a fresh correct-path walk of
@@ -606,8 +592,8 @@ mod tests {
         let bench = workloads::benchmark("art").unwrap();
         let entry = record_benchmark(&dir, &bench, 15_000).unwrap();
         assert_eq!(entry.bt_version, bptrace::BT_VERSION);
-        let bytes = std::fs::read(dir.join(&entry.bt_file)).unwrap();
-        assert_eq!(bptrace::sniff_version(&bytes), Some(bptrace::BT_VERSION));
+        let reader = open_trace(&dir, &entry).unwrap();
+        assert_eq!(reader.version(), bptrace::BT_VERSION);
         verify_entry(&dir, &entry).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,22 +1,26 @@
 //! The streaming trace-replay engine for conventional predictors.
 //!
 //! CBP-style trace-driven evaluation: records stream out of a
-//! [`BtReader`] one at a time (the full trace is never materialized), each
-//! conditional is predicted from the replay's branch-history register,
-//! compared against the recorded outcome, and the predictor is trained
-//! with that outcome — in-order, non-speculative, the standard
+//! [`BtReader`] a block at a time (the full trace is never materialized),
+//! each conditional is predicted from the replay's branch-history
+//! register, compared against the recorded outcome, and the predictor is
+//! trained with that outcome — in-order, non-speculative, the standard
 //! methodology of trace-driven championship harnesses.
 //!
-//! The streaming path hands the predictor **64-branch chunks** through the
-//! batched [`DirectionPredictor::predict_block`] kernels rather than one
-//! call per branch: because replay history evolves on *recorded* outcomes
-//! only, each conditional's history value is known at buffering time, so a
-//! whole chunk can be predicted and trained by one fused structure-of-arrays
-//! kernel call. The per-record scalar path ([`ReplaySession::step`]) is kept
-//! as the reference implementation — [`direct_replay`] still uses it, and
-//! the batched kernels are pinned bit-identical to it by the
-//! `batch_equiv` differential suite plus the corpus-vs-direct round-trip
-//! tests below.
+//! There is one batched path, `replay_stream`, behind both entry points
+//! ([`replay_bytes`] for an in-memory image, `replay_entry` for a corpus
+//! file). It takes [`DecodedBlock`] columns from
+//! [`BtReader::next_block`], whichever `.bt` version the header names,
+//! and hands the predictor **64-branch chunks** through the fused
+//! [`DirectionPredictor::replay_block`] kernels rather than one call per
+//! branch: because replay history evolves on *recorded* outcomes only,
+//! each conditional's history value is known at buffering time, so a
+//! whole chunk can be predicted and trained by one fused
+//! structure-of-arrays kernel call. The per-record scalar path
+//! ([`ReplaySession::step`]) is kept as the reference implementation —
+//! [`direct_replay`] and [`replay_records_scalar`] use it, and the batched
+//! kernels are pinned bit-identical to it by the `batch_equiv`
+//! differential suite plus the corpus-vs-direct round-trip tests below.
 //!
 //! Warm-up mirrors the execution-driven simulator (`sim::accuracy`):
 //! statistics collection starts only after [`ReplayConfig::warmup_uops`]
@@ -35,7 +39,7 @@
 use std::collections::HashMap;
 use std::io::Read;
 
-use bptrace::{BranchKind, BranchRecord, BtBlockReader, BtReader, DecodedBlock};
+use bptrace::{BranchKind, BranchRecord, BtReader, DecodedBlock};
 use predictors::{DirectionPredictor, HistoryBits, Pc, PredictBlock};
 use workloads::{Program, Walker};
 
@@ -415,9 +419,9 @@ impl ReplaySession {
     /// that is reconstructible from the outcome mask. Returns `false`
     /// once the budget is exhausted.
     ///
-    /// Takes the record's fields rather than a [`BranchRecord`] so the
-    /// column-oriented v2 path ([`replay_blocks`]) can feed it straight
-    /// from decoded block columns without materializing records.
+    /// Takes the record's fields rather than a [`BranchRecord`] so
+    /// `replay_stream` can feed it straight from decoded block columns
+    /// without materializing records.
     #[inline(always)]
     fn buffer(
         &mut self,
@@ -450,13 +454,6 @@ impl ReplaySession {
             self.measured_uops += u64::from(uops);
         }
         true
-    }
-
-    /// [`buffer`](Self::buffer) from a decoded [`BranchRecord`], for the
-    /// record-at-a-time entry points.
-    #[inline(always)]
-    fn buffer_record(&mut self, rec: &BranchRecord, chunk: &mut Chunk) -> bool {
-        self.buffer(rec.pc, rec.kind, rec.taken, rec.uops_since_prev, chunk)
     }
 
     /// Runs one buffered chunk through the fused predict+train kernel and
@@ -538,57 +535,7 @@ impl ReplaySession {
     }
 }
 
-/// Replays a `.bt` stream through `predictor` without materializing it.
-///
-/// # Examples
-///
-/// Record a benchmark's correct path in memory, then stream it back
-/// through a conventional predictor one record at a time:
-///
-/// ```
-/// use bptrace::BtReader;
-/// use predictors::configs::{self, Budget};
-/// use replay::{record_trace, replay_reader, ReplayConfig};
-///
-/// let bench = workloads::benchmark("gzip").unwrap();
-/// let mut bt = Vec::new();
-/// record_trace(&bench.program(), bench.seed, 40_000, &mut bt)?;
-///
-/// let mut reader = BtReader::new(bt.as_slice())?;
-/// let mut predictor = configs::gshare(Budget::K8);
-/// let result = replay_reader(&mut reader, &mut predictor, &ReplayConfig::with_budget(40_000))?;
-/// assert_eq!(result.trace, "gzip");
-/// assert!(result.measured_conditionals > 0);
-/// // Per-branch profiles reconcile with the totals.
-/// let sum: u64 = result.per_branch.iter().map(|b| b.mispredicts).sum();
-/// assert_eq!(sum, result.mispredicts);
-/// # Ok::<(), replay::ReplayError>(())
-/// ```
-///
-/// # Errors
-///
-/// Trace-format errors from the reader (corruption, truncation, I/O).
-pub fn replay_reader<R: Read, P: DirectionPredictor>(
-    reader: &mut BtReader<R>,
-    predictor: &mut P,
-    config: &ReplayConfig,
-) -> Result<ReplayResult> {
-    let mut session = ReplaySession::new(predictor, *config);
-    let mut chunk = Chunk::new();
-    while let Some(rec) = reader.next_record()? {
-        if !session.buffer_record(&rec, &mut chunk) {
-            break;
-        }
-        if chunk.is_full() {
-            session.flush_chunk(predictor, &chunk);
-            chunk.clear();
-        }
-    }
-    session.flush_chunk(predictor, &chunk);
-    Ok(session.finish(reader.name().to_string(), predictor.name()))
-}
-
-/// Replays a v2 block stream through `predictor` via the chunked decode
+/// Replays a `.bt` stream through `predictor` via the chunked decode
 /// path: whole blocks decode into [`DecodedBlock`]'s reusable column
 /// buffers, and the engine feeds the predictor 64-branch chunks straight
 /// from those columns — no [`BranchRecord`] is materialized per branch,
@@ -596,16 +543,13 @@ pub fn replay_reader<R: Read, P: DirectionPredictor>(
 /// start register; predictors reconstruct element histories from the
 /// outcome mask via [`DirectionPredictor::replay_block`]).
 ///
-/// Must produce results bit-identical to [`replay_reader`] over the same
-/// stream — the scalar reader is the reference decoder for both format
-/// versions, and the engine tests pin exactly that.
-///
-/// # Errors
-///
-/// Trace-format errors from the block reader (corruption, truncation,
-/// checksum mismatch, I/O).
-pub fn replay_blocks<R: Read, P: DirectionPredictor>(
-    reader: &mut BtBlockReader<R>,
+/// The one batched replay loop: [`replay_bytes`] and `replay_entry` are
+/// single calls into it, and both `.bt` versions reach it through
+/// [`BtReader::next_block`]. It must produce results bit-identical to
+/// [`replay_records_scalar`] over the same records; the engine tests pin
+/// exactly that.
+pub(crate) fn replay_stream<R: Read, P: DirectionPredictor>(
+    reader: &mut BtReader<R>,
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
@@ -672,35 +616,10 @@ pub fn replay_blocks<R: Read, P: DirectionPredictor>(
     Ok(session.finish(reader.name().to_string(), predictor.name()))
 }
 
-/// Replays pre-decoded records through the batched 64-branch kernels —
-/// the same engine [`replay_reader`] drives, minus trace decoding, so
-/// throughput measurements isolate predictor-table time.
-#[must_use]
-pub fn replay_records<P: DirectionPredictor>(
-    trace: &str,
-    records: &[BranchRecord],
-    predictor: &mut P,
-    config: &ReplayConfig,
-) -> ReplayResult {
-    let mut session = ReplaySession::new(predictor, *config);
-    let mut chunk = Chunk::new();
-    for rec in records {
-        if !session.buffer_record(rec, &mut chunk) {
-            break;
-        }
-        if chunk.is_full() {
-            session.flush_chunk(predictor, &chunk);
-            chunk.clear();
-        }
-    }
-    session.flush_chunk(predictor, &chunk);
-    session.finish(trace.to_string(), predictor.name())
-}
-
 /// Replays pre-decoded records through the scalar reference path (one
-/// `predict`/`update` pair per branch). Must produce results identical to
-/// [`replay_records`] for any predictor — the throughput experiment
-/// asserts exactly that while timing both.
+/// `predict`/`update` pair per branch): the oracle the batched path is
+/// checked against. [`replay_bytes`] over the same image must produce an
+/// identical result for any predictor and any warm-up.
 #[must_use]
 pub fn replay_records_scalar<P: DirectionPredictor>(
     trace: &str,
@@ -717,8 +636,8 @@ pub fn replay_records_scalar<P: DirectionPredictor>(
     session.finish(trace.to_string(), predictor.name())
 }
 
-/// Decodes a `.bt` image into its trace name and record list, for replay
-/// entry points that separate decode time from predictor time.
+/// Decodes a `.bt` image into its trace name and record list, the input
+/// of [`replay_records_scalar`].
 ///
 /// # Errors
 ///
@@ -732,26 +651,42 @@ pub fn decode_records(bytes: &[u8]) -> Result<(String, Vec<BranchRecord>)> {
     Ok((reader.name().to_string(), records))
 }
 
-/// Replays an in-memory `.bt` image (header included), negotiating the
-/// format version: v2 images route through the chunked block decoder
-/// ([`replay_blocks`]); v1 images through the scalar record reader
-/// ([`replay_reader`]). Results are bit-identical either way — the two
-/// paths are differentially pinned against each other.
+/// Replays an in-memory `.bt` image (header included) of either format
+/// version through `predictor`, without materializing the trace.
+///
+/// # Examples
+///
+/// Record a benchmark's correct path in memory, then stream it back
+/// through a conventional predictor:
+///
+/// ```
+/// use predictors::configs::{self, Budget};
+/// use replay::{record_trace, replay_bytes, ReplayConfig};
+///
+/// let bench = workloads::benchmark("gzip").unwrap();
+/// let mut bt = Vec::new();
+/// record_trace(&bench.program(), bench.seed, 40_000, &mut bt)?;
+///
+/// let mut predictor = configs::gshare(Budget::K8);
+/// let result = replay_bytes(&bt, &mut predictor, &ReplayConfig::with_budget(40_000))?;
+/// assert_eq!(result.trace, "gzip");
+/// assert!(result.measured_conditionals > 0);
+/// // Per-branch profiles reconcile with the totals.
+/// let sum: u64 = result.per_branch.iter().map(|b| b.mispredicts).sum();
+/// assert_eq!(sum, result.mispredicts);
+/// # Ok::<(), replay::ReplayError>(())
+/// ```
 ///
 /// # Errors
 ///
-/// As [`replay_reader`], plus header validation.
+/// Trace-format errors from the reader: header validation, corruption,
+/// truncation.
 pub fn replay_bytes<P: DirectionPredictor>(
     bytes: &[u8],
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
-    if bptrace::sniff_version(bytes) == Some(bptrace::BT_VERSION) {
-        let mut reader = BtBlockReader::new(bytes)?;
-        return replay_blocks(&mut reader, predictor, config);
-    }
-    let mut reader = BtReader::new(bytes)?;
-    replay_reader(&mut reader, predictor, config)
+    replay_stream(&mut BtReader::new(bytes)?, predictor, config)
 }
 
 /// The direct-execution reference: walks `program`'s correct path and
@@ -848,29 +783,26 @@ mod tests {
         let (name, records) = decode_records(&bytes).unwrap();
         let cfg = ReplayConfig::with_budget(70_000);
         let mut a = configs::bc_gskew(Budget::K8);
-        let batched = replay_records(&name, &records, &mut a, &cfg);
+        let streamed = replay_bytes(&bytes, &mut a, &cfg).unwrap();
         let mut b = configs::bc_gskew(Budget::K8);
         let scalar = replay_records_scalar(&name, &records, &mut b, &cfg);
-        assert_eq!(batched, scalar);
-
-        let mut c = configs::bc_gskew(Budget::K8);
-        let streamed = replay_bytes(&bytes, &mut c, &cfg).unwrap();
         assert_eq!(streamed, scalar);
     }
 
     #[test]
     fn v1_and_v2_images_replay_bit_identically() {
         // The same walk recorded in both formats must replay to identical
-        // results — v2 routes through the chunked block decoder and
-        // replay_block kernels, v1 through the scalar record reader.
+        // results: v2 hands the engine its framed blocks, v1 is cut into
+        // blocks of BLOCK_RECORDS records by the reader.
         let bench = workloads::benchmark("tpcc").unwrap();
         let program = bench.program();
         let mut v1 = Vec::new();
         crate::corpus::record_trace_v1(&program, bench.seed, 50_000, &mut v1).unwrap();
         let mut v2 = Vec::new();
         crate::corpus::record_trace(&program, bench.seed, 50_000, &mut v2).unwrap();
-        assert_eq!(bptrace::sniff_version(&v1), Some(bptrace::BT_VERSION_V1));
-        assert_eq!(bptrace::sniff_version(&v2), Some(bptrace::BT_VERSION));
+        let version = |bytes: &[u8]| BtReader::new(bytes).unwrap().version();
+        assert_eq!(version(&v1), bptrace::BT_VERSION_V1);
+        assert_eq!(version(&v2), bptrace::BT_VERSION);
 
         let cfg = ReplayConfig::with_budget(50_000);
         let mut a = configs::bc_gskew(Budget::K8);

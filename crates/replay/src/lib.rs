@@ -12,12 +12,15 @@
 //! * [`Manifest`]/[`TraceEntry`] — the hand-parsed `corpus.manifest`
 //!   index: name, seed, uop budget, per-file checksums and the
 //!   [`bptrace::TraceStats`] summary.
-//! * [`replay_reader`]/[`replay_bytes`] — the **streaming replay
-//!   engine**: feeds `.bt` records to any conventional
-//!   [`predictors::DirectionPredictor`] without materializing the trace,
-//!   with warm-up handling mirroring the execution-driven simulator.
-//! * [`direct_replay`] — the no-trace reference path; corpus replay is
-//!   pinned bit-for-bit against it.
+//! * [`replay_bytes`]/[`replay_entry`] — the **streaming replay
+//!   engine**: feeds `.bt` records of either format version, a block at a
+//!   time, to any conventional [`predictors::DirectionPredictor`] without
+//!   materializing the trace, with warm-up handling mirroring the
+//!   execution-driven simulator.
+//! * [`replay_records_scalar`]/[`direct_replay`] — the scalar oracles: one
+//!   `predict`/`update` per branch over decoded records
+//!   ([`decode_records`]) or straight off the walker, with no trace in
+//!   between. The streaming engine is pinned bit-for-bit against both.
 //! * [`verify_corpus`]/[`cross_check_snapshot`] — integrity checking:
 //!   checksums, record counts, and the snapshot-vs-trace cross-check.
 //!
@@ -65,8 +68,8 @@ pub use corpus::{
     verify_corpus, verify_corpus_report, verify_entry, QuarantineEntry, VerifyReport,
 };
 pub use engine::{
-    decode_records, direct_replay, replay_blocks, replay_bytes, replay_reader, replay_records,
-    replay_records_scalar, BranchReplay, ReplayConfig, ReplayResult,
+    decode_records, direct_replay, replay_bytes, replay_records_scalar, BranchReplay, ReplayConfig,
+    ReplayResult,
 };
 pub use error::{ReplayError, Result};
 pub use fault::FaultPlan;

@@ -6,8 +6,8 @@
 use predictors::configs::{self, Budget};
 use predictors::{Bimodal, DirectionPredictor};
 use replay::{
-    direct_replay, load_snapshot, open_trace, record_corpus, replay_reader, verify_corpus,
-    Manifest, ReplayConfig, ReplayResult,
+    direct_replay, load_snapshot, open_trace, record_corpus, replay_entry, verify_corpus, Manifest,
+    ReplayConfig, ReplayResult,
 };
 use workloads::{Benchmark, Walker};
 
@@ -50,8 +50,7 @@ fn recorded_corpus_replay_matches_direct_execution() {
             .into_iter()
             .zip(predictors_under_test())
         {
-            let mut reader = open_trace(&dir, entry).unwrap();
-            let from_disk: ReplayResult = replay_reader(&mut reader, &mut disk_pred, &cfg).unwrap();
+            let from_disk: ReplayResult = replay_entry(&dir, entry, &mut disk_pred, &cfg).unwrap();
             let direct = direct_replay(&bench.program(), bench.seed, &mut direct_pred, &cfg);
             assert_eq!(
                 from_disk, direct,
@@ -121,8 +120,7 @@ fn manifest_survives_reload_between_sessions() {
 
     let entry = reloaded.entry("art").unwrap();
     let mut p = configs::gshare(Budget::K4);
-    let mut reader = open_trace(&dir, entry).unwrap();
-    let r = replay_reader(&mut reader, &mut p, &ReplayConfig::with_budget(BUDGET)).unwrap();
+    let r = replay_entry(&dir, entry, &mut p, &ReplayConfig::with_budget(BUDGET)).unwrap();
     assert_eq!(r.trace, "art");
     assert!(r.measured_conditionals > 0);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -14,7 +14,7 @@
 //!    `salvage`.
 
 use bptrace::{
-    salvage, sniff_version, BranchKind, BranchRecord, BtBlockWriter, BtWriter, BT_BLOCK_MAGIC,
+    salvage, BranchKind, BranchRecord, BtBlockWriter, BtReader, BtWriter, BT_BLOCK_MAGIC,
     BT_VERSION,
 };
 use replay::{decode_records, record_trace, replay_bytes, FaultPlan, ReplayConfig};
@@ -179,7 +179,10 @@ fn fault_plan_flip_and_trunc_are_caught_by_the_v2_reader() {
     let bench = workloads::benchmark("gzip").unwrap();
     let mut image = Vec::new();
     record_trace(&bench.program(), bench.seed, 60_000, &mut image).unwrap();
-    assert_eq!(sniff_version(&image), Some(BT_VERSION));
+    assert_eq!(
+        BtReader::new(image.as_slice()).unwrap().version(),
+        BT_VERSION
+    );
     let (_, full) = decode_records(&image).unwrap();
     let cfg = ReplayConfig::with_budget(60_000);
 

@@ -9,7 +9,7 @@
 //!
 //! The feed predicts and trains on **every** conditional record,
 //! in-order and non-speculatively — exactly the
-//! [`replay::replay_reader`] discipline — so the tournament's uPC and
+//! [`replay::replay_bytes`] discipline — so the tournament's uPC and
 //! misp/Kuops columns describe the same prediction stream (pinned by
 //! `crates/sim/tests/pipeline.rs`). The BTB affects *timing only*: a
 //! taken branch it has not yet learned charges the decode-depth
@@ -109,7 +109,7 @@ impl<R: Read, P: DirectionPredictor> PipelineModel for TraceModel<'_, '_, R, P> 
                 self.btb.allocate(pc, rec.target, true);
             }
             // Predict and train on every conditional, in order — the
-            // exact `replay_reader` discipline, so accuracy stays
+            // exact `replay_bytes` discipline, so accuracy stays
             // record-for-record equal to the streaming replay engine.
             let predicted = self.predictor.predict(pc, self.hist).taken();
             self.predictor.update(pc, self.hist, rec.taken);

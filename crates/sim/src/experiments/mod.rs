@@ -13,7 +13,6 @@
 //! | `tracecmp` | trace tournament (corpus replay vs snapshot exec) | [`tracecmp`] |
 //! | `tune` | hybrid-parameter calibration search | [`tune`] |
 //! | `h2p` | per-hard-branch deltas (Bullseye-style) | [`h2p`] |
-//! | `throughput` | batched SoA kernels vs scalar replay speed | [`throughput`] |
 
 pub mod ablation;
 pub mod common;
@@ -25,7 +24,6 @@ pub mod h2p;
 pub mod headline;
 pub mod statics;
 pub mod table4;
-pub mod throughput;
 pub mod tracecmp;
 pub mod tune;
 pub mod upc;
@@ -133,11 +131,6 @@ pub fn all() -> Vec<Experiment> {
             title: "Calibration: deterministic hybrid-parameter search vs 2Bc-gskew",
             run: tune::run,
         },
-        Experiment {
-            id: "throughput",
-            title: "Replay throughput: batched SoA kernels vs scalar reference",
-            run: throughput::run,
-        },
     ]
 }
 
@@ -155,21 +148,8 @@ mod tests {
     fn registry_covers_every_artifact() {
         let ids: Vec<&str> = all().iter().map(|e| e.id).collect();
         for want in [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "headline",
-            "tracecmp",
-            "tune",
-            "h2p",
-            "throughput",
+            "table1", "table2", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "fig9",
+            "fig10", "headline", "tracecmp", "tune", "h2p",
         ] {
             assert!(ids.contains(&want), "{want} missing from registry");
         }

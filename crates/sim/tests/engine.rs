@@ -1,21 +1,21 @@
 //! Integration tests of the parallel experiment engine: the rayon-style
-//! grid fan-out must be bit-identical to the sequential path, the
-//! monomorphized (enum-dispatch) hybrids must match the boxed trait-object
-//! hybrids result-for-result, and the batched structure-of-arrays kernels
-//! (live in every replay and in the hybrids' deferred commit training)
-//! must leave the headline figures and stored cell bytes unchanged for
-//! any thread count.
+//! grid fan-out must be bit-identical to the sequential path, the batched
+//! replay must match the scalar reference for every tournament entrant,
+//! and the batched structure-of-arrays kernels (live in every replay and
+//! in the hybrids' deferred commit training) must leave the headline
+//! figures and stored cell bytes unchanged for any thread count.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use predictors::DirectionPredictor;
 use prophet_critic::{Budget, CriticKind, HybridSpec, ProphetKind};
 use sim::experiments::common::{
     pooled_accuracy_par, pooled_accuracy_seq, run_grid, run_matrix, ExpEnv,
 };
 use sim::experiments::headline;
-use sim::{run_accuracy, AccuracyResult, CellStore};
+use sim::CellStore;
 
 fn tiny() -> ExpEnv {
     ExpEnv {
@@ -152,41 +152,26 @@ fn batched_kernels_leave_headline_and_store_cells_thread_invariant() {
 
 #[test]
 fn batched_replay_matches_scalar_reference_through_sim_lineup() {
-    // The same batched-vs-scalar differential the throughput experiment
-    // gates on, pinned here at integration scope over a tournament
-    // predictor: chunked replay must equal the per-branch reference.
+    // The streaming block path behind every production replay
+    // (`replay_bytes`) must equal the per-branch reference for every
+    // tournament entrant, at the standard warm-up and with none (where
+    // the first chunk is already measured).
     let bench = workloads::benchmark("gcc").unwrap();
     let mut bt = Vec::new();
     replay::record_trace(&bench.program(), bench.seed, 60_000, &mut bt).unwrap();
     let (name, records) = replay::decode_records(&bt).unwrap();
-    let cfg = replay::ReplayConfig::with_budget(60_000);
-    for predictor in sim::experiments::tracecmp::conventional_lineup() {
-        let mut a = predictor.clone();
-        let batched = replay::replay_records(&name, &records, &mut a, &cfg);
-        let mut b = predictor.clone();
-        let scalar = replay::replay_records_scalar(&name, &records, &mut b, &cfg);
-        assert_eq!(batched, scalar);
-    }
-}
-
-#[test]
-fn monomorphized_hybrid_matches_boxed_hybrid_run_for_run() {
-    let env = tiny();
-    let programs = env.named_programs(&["gcc", "tpcc"]);
-    for spec in specs() {
-        for (bench, program) in &programs {
-            let cfg = env.sim_config(bench.seed);
-            let mut fast = spec.build();
-            let enum_result: AccuracyResult = run_accuracy(program, &mut fast, &cfg);
-            let mut boxed = spec.build_boxed();
-            let boxed_result = run_accuracy(program, &mut boxed, &cfg);
-            assert_eq!(
-                enum_result,
-                boxed_result,
-                "{} on {}: enum vs boxed dispatch diverged",
-                spec.label(),
-                bench.name
-            );
+    let standard = replay::ReplayConfig::with_budget(60_000);
+    let cold = replay::ReplayConfig {
+        warmup_uops: 0,
+        ..standard
+    };
+    for cfg in [standard, cold] {
+        for predictor in sim::experiments::tracecmp::conventional_lineup() {
+            let mut a = predictor.clone();
+            let batched = replay::replay_bytes(&bt, &mut a, &cfg).unwrap();
+            let mut b = predictor.clone();
+            let scalar = replay::replay_records_scalar(&name, &records, &mut b, &cfg);
+            assert_eq!(batched, scalar, "{} at {cfg:?}", predictor.name());
         }
     }
 }

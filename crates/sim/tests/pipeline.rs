@@ -48,7 +48,7 @@ fn cycle_grid_is_bit_identical_for_any_thread_count() {
 #[test]
 fn trace_feed_prediction_stream_equals_the_replay_engine() {
     // The trace-driven cycle feed predicts and trains on every record in
-    // order, exactly like `replay::replay_reader` — so over a fully
+    // order, exactly like `replay::replay_bytes` — so over a fully
     // consumed trace (cycle budget beyond the trace content, no warm-up
     // gating differences) the two paths must count identical mispredicts.
     // This also pins the post-stream drain: a flush near the end of the
@@ -83,7 +83,7 @@ fn trace_feed_prediction_stream_equals_the_replay_engine() {
 
         assert_eq!(
             timed.final_mispredicts, replayed.mispredicts,
-            "{bench_name}: trace-feed mispredicts diverged from replay_reader"
+            "{bench_name}: trace-feed mispredicts diverged from replay_bytes"
         );
         assert_eq!(
             timed.committed_uops, replayed.measured_uops,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use predictors::DirectionPredictor;
-use replay::{direct_replay, open_trace, record_corpus, replay_reader, ReplayConfig};
+use replay::{direct_replay, record_corpus, replay_entry, ReplayConfig};
 use sim::experiments::tracecmp::{conventional_lineup, run_with_report};
 use sim::experiments::ExpEnv;
 use sim::CellStore;
@@ -92,8 +92,7 @@ fn cli_shaped_record_then_replay_round_trip_is_deterministic() {
         let program = bench.program();
         for predictor in conventional_lineup() {
             let mut from_disk_pred = predictor.clone();
-            let mut reader = open_trace(&dir, entry).unwrap();
-            let from_disk = replay_reader(&mut reader, &mut from_disk_pred, &cfg).unwrap();
+            let from_disk = replay_entry(&dir, entry, &mut from_disk_pred, &cfg).unwrap();
             let mut direct_pred = predictor.clone();
             let direct = direct_replay(&program, bench.seed, &mut direct_pred, &cfg);
             assert_eq!(

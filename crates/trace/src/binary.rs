@@ -23,13 +23,15 @@
 //!
 //! v2 is the block-compressed layout in [`crate::block`]. [`BtReader`]
 //! negotiates the version from the header and decodes either one through
-//! the same `next_record` interface: it is the bit-identical scalar
-//! reference over both versions. [`BtWriter`] always emits v1 (the
-//! migration baseline); [`BtBlockWriter`](crate::BtBlockWriter) emits v2.
+//! the same interface: `next_record` one record at a time (the
+//! bit-identical scalar reference over both versions) or `next_block`
+//! into the batched replay engine's column buffers. [`BtWriter`] always
+//! emits v1 (the migration baseline); [`BtBlockWriter`](crate::BtBlockWriter)
+//! emits v2.
 
 use std::io::{Read, Write};
 
-use crate::block::{BtBlockReader, DecodedBlock};
+use crate::block::{BtBlockReader, DecodedBlock, BLOCK_RECORDS};
 use crate::error::{Result, TraceError};
 use crate::record::{BranchKind, BranchRecord};
 use crate::wire::{read_header, write_header, WireReader, WireWriter};
@@ -44,17 +46,6 @@ pub const BT_VERSION: u16 = 2;
 pub const BT_VERSION_V1: u16 = 1;
 
 const UOPS_INLINE_MAX: u32 = 14;
-
-/// Peeks the `.bt` container version from a byte slice, without
-/// constructing a reader: `None` if the slice is too short or carries a
-/// foreign magic.
-#[must_use]
-pub fn sniff_version(bytes: &[u8]) -> Option<u16> {
-    if bytes.len() < 6 || bytes[..4] != BT_MAGIC {
-        return None;
-    }
-    Some(u16::from_le_bytes([bytes[4], bytes[5]]))
-}
 
 /// Streaming writer of legacy v1 (record-stream) `.bt` branch traces.
 ///
@@ -252,6 +243,40 @@ impl<R: Read> BtReader<R> {
         };
         self.records += 1;
         Ok(Some(rec))
+    }
+
+    /// Decodes the next run of records into `block`'s column buffers;
+    /// `false` at a clean end of stream.
+    ///
+    /// A v2 reader hands over its framed blocks as they are. A v1 reader
+    /// cuts its record stream into blocks of up to [`BLOCK_RECORDS`]
+    /// records, so the batched replay engine consumes both versions
+    /// through this one call. Read a stream either by block or by
+    /// [`next_record`](Self::next_record), not both: on v2, a block call
+    /// after a record call starts at the next framed block.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_record`](Self::next_record). A v1 block is decoded whole,
+    /// so a malformed record fails the block it falls in.
+    pub fn next_block(&mut self, block: &mut DecodedBlock) -> Result<bool> {
+        let more = match &mut self.body {
+            Body::V1 { wire, prev_pc } => {
+                block.clear();
+                while block.len() < BLOCK_RECORDS {
+                    let Some(rec) = next_v1_record(wire, prev_pc)? else {
+                        break;
+                    };
+                    block.push(&rec);
+                }
+                !block.is_empty()
+            }
+            Body::V2 { blocks, .. } => blocks.next_block(block)?,
+        };
+        if more {
+            self.records += block.len() as u64;
+        }
+        Ok(more)
     }
 
     /// Drains the remaining records into a vector.

@@ -50,8 +50,10 @@
 //! or short `sparse` residual encodings.
 //!
 //! [`BtBlockReader`] decodes whole blocks into the reusable column buffers
-//! of a [`DecodedBlock`] — the replay engine consumes the columns directly
-//! without materializing per-record [`BranchRecord`]s, while
+//! of a [`DecodedBlock`]. The replay engine takes them through
+//! [`BtReader::next_block`](crate::BtReader::next_block), which also cuts
+//! v1 streams into blocks, and consumes the columns directly without
+//! materializing per-record [`BranchRecord`]s; record by record,
 //! [`BtReader`](crate::BtReader) remains the scalar reference reader over
 //! both versions.
 
@@ -539,7 +541,21 @@ impl DecodedBlock {
         }
     }
 
-    fn clear(&mut self) {
+    /// Appends one record to the columns — how a v1 reader fills a block.
+    pub(crate) fn push(&mut self, rec: &BranchRecord) {
+        let i = self.len;
+        if i.is_multiple_of(64) {
+            self.taken.push(0);
+        }
+        self.taken[i / 64] |= u64::from(rec.taken) << (i % 64);
+        self.pcs.push(rec.pc);
+        self.targets.push(rec.target);
+        self.kinds.push(rec.kind);
+        self.uops.push(rec.uops_since_prev);
+        self.len = i + 1;
+    }
+
+    pub(crate) fn clear(&mut self) {
         self.len = 0;
         self.pcs.clear();
         self.targets.clear();
@@ -741,9 +757,9 @@ fn decode_block_body<R: Read>(wire: &mut WireReader<R>, block: &mut DecodedBlock
 /// Chunked reader of block-compressed `.bt` v2 traces.
 ///
 /// Decodes whole blocks into a caller-provided [`DecodedBlock`], reusing
-/// its buffers across blocks. This is the replay hot path; the scalar
-/// reference path is [`BtReader`](crate::BtReader), which wraps this reader
-/// for v2 files and yields identical records one at a time.
+/// its buffers across blocks. [`BtReader`](crate::BtReader) wraps this
+/// reader for v2 files: its `next_block` hands these blocks to the replay
+/// engine, and its `next_record` yields identical records one at a time.
 ///
 /// Errors are terminal: a corrupt block fails the stream, and corpus-level
 /// tooling quarantines the trace. [`salvage`] exists for explicitly lossy
@@ -992,6 +1008,30 @@ mod tests {
         assert_eq!(r.name(), "nego");
         assert_eq!(r.read_all().unwrap(), records);
         assert_eq!(r.records(), 300);
+    }
+
+    #[test]
+    fn v1_reader_cuts_its_stream_into_blocks() {
+        // Longer than two blocks, so the last block is a partial one.
+        let records = sample_stream(2 * BLOCK_RECORDS + 300);
+        let mut v1 = Vec::new();
+        let mut w = crate::BtWriter::new(&mut v1, "cut").unwrap();
+        for r in &records {
+            w.write(r).unwrap();
+        }
+        w.finish().unwrap();
+
+        let mut r = BtReader::new(v1.as_slice()).unwrap();
+        assert_eq!(r.version(), crate::BT_VERSION_V1);
+        let mut block = DecodedBlock::new();
+        let (mut sizes, mut decoded) = (Vec::new(), Vec::new());
+        while r.next_block(&mut block).unwrap() {
+            sizes.push(block.len());
+            decoded.extend((0..block.len()).map(|i| block.record(i)));
+        }
+        assert_eq!(sizes, [BLOCK_RECORDS, BLOCK_RECORDS, 300]);
+        assert_eq!(decoded, records);
+        assert_eq!(r.records(), records.len() as u64);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * [`BtWriter`]/[`BtReader`] — the `.bt` binary branch-trace format:
 //!   delta- and varint-compressed dynamic branch records, streamable.
-//!   [`BtReader`] negotiates both container versions and is the scalar
-//!   reference decoder.
+//!   [`BtReader`] negotiates both container versions: record by record it
+//!   is the scalar reference decoder, and block by block it feeds both
+//!   versions to the batched replay engine.
 //! * [`BtBlockWriter`]/[`BtBlockReader`] — the block-compressed v2 layout:
 //!   framed, checksummed blocks of ~4K branches with a per-block static
 //!   dictionary, decoded whole-block into [`DecodedBlock`] column buffers
@@ -79,7 +80,7 @@ mod record;
 mod stats;
 pub mod wire;
 
-pub use binary::{sniff_version, BtReader, BtWriter, BT_MAGIC, BT_VERSION, BT_VERSION_V1};
+pub use binary::{BtReader, BtWriter, BT_MAGIC, BT_VERSION, BT_VERSION_V1};
 pub use block::{
     salvage, BtBlockReader, BtBlockWriter, DecodedBlock, SalvageReport, BLOCK_RECORDS,
     BT_BLOCK_MAGIC,

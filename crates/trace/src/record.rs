@@ -57,20 +57,6 @@ impl std::fmt::Display for BranchKind {
     }
 }
 
-impl std::str::FromStr for BranchKind {
-    type Err = ();
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "cond" => Ok(BranchKind::Conditional),
-            "jump" => Ok(BranchKind::Jump),
-            "call" => Ok(BranchKind::Call),
-            "ret" => Ok(BranchKind::Return),
-            _ => Err(()),
-        }
-    }
-}
-
 /// One dynamic branch in a trace.
 ///
 /// `uops_since_prev` counts the micro-ops between the previous branch
@@ -136,11 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_strings_round_trip() {
-        for k in BranchKind::ALL {
-            assert_eq!(k.to_string().parse::<BranchKind>(), Ok(k));
-        }
-        assert!("bogus".parse::<BranchKind>().is_err());
+    fn kind_display_names() {
+        let names: Vec<String> = BranchKind::ALL.iter().map(ToString::to_string).collect();
+        assert_eq!(names, ["cond", "jump", "call", "ret"]);
     }
 
     #[test]

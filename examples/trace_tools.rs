@@ -14,8 +14,8 @@
 use prophet_critic_repro::bptrace::{BranchProfile, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use prophet_critic_repro::predictors::configs::{self, Budget};
 use prophet_critic_repro::replay::{
-    direct_replay, load_snapshot, open_trace, record_corpus, replay_reader, verify_corpus,
-    Manifest, ReplayConfig,
+    direct_replay, load_snapshot, open_trace, record_corpus, replay_entry, verify_corpus, Manifest,
+    ReplayConfig,
 };
 use prophet_critic_repro::workloads;
 
@@ -86,8 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n16KB gshare over the corpus:");
     for entry in &reloaded.entries {
         let mut predictor = configs::gshare(Budget::K16);
-        let mut reader = open_trace(&dir, entry)?;
-        let result = replay_reader(&mut reader, &mut predictor, &cfg)?;
+        let result = replay_entry(&dir, entry, &mut predictor, &cfg)?;
         println!(
             "  {:<6} {:>6} cond measured, {:>5} mispredicts, {:.2} misp/Kuops",
             result.trace,
