@@ -68,32 +68,6 @@ pub trait Critic {
     }
 }
 
-impl<C: Critic + ?Sized> Critic for Box<C> {
-    fn critique(&self, pc: Pc, bor: HistoryBits, prophet_pred: bool) -> CriticDecision {
-        (**self).critique(pc, bor, prophet_pred)
-    }
-
-    fn train(&mut self, pc: Pc, bor: HistoryBits, outcome: bool, prophet_pred: bool) {
-        (**self).train(pc, bor, outcome, prophet_pred);
-    }
-
-    fn bor_len(&self) -> usize {
-        (**self).bor_len()
-    }
-
-    fn storage_bits(&self) -> usize {
-        (**self).storage_bits()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn train_block(&mut self, inputs: &[CriticTrainInput]) {
-        (**self).train_block(inputs);
-    }
-}
-
 /// The no-op critic: always implicitly agrees and never trains.
 ///
 /// A hybrid with a `NullCritic` *is* the conventional “prophet alone”

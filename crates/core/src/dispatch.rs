@@ -10,8 +10,9 @@
 //! monomorphize all the way down — the hybrid engine built from them,
 //! [`Hybrid`](crate::Hybrid), contains no virtual dispatch at all.
 //!
-//! The open, object-safe traits remain for exotic compositions; wrap a
-//! predictor in a box only when it genuinely isn't one of the closed set.
+//! The traits stay open and object-safe: a predictor outside the closed
+//! set implements them on its own type, and the generic engine
+//! (`ProphetCritic<P, C>`) monomorphizes over it just the same.
 
 use predictors::{
     BcGskew, Bimodal, DirectionPredictor, GAs, Gshare, HistoryBits, Local, Pc, Perceptron,
@@ -90,18 +91,13 @@ impl DirectionPredictor for AnyProphet {
         each_prophet!(self, p => p.name())
     }
 
-    /// One variant match per *chunk* instead of per branch: the selected
-    /// concrete predictor's fused kernel then runs the whole block inlined.
-    #[inline]
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        each_prophet!(self, p => p.predict_block(inputs))
-    }
-
     #[inline]
     fn train_block(&mut self, inputs: &[PredictInput]) {
         each_prophet!(self, p => p.train_block(inputs))
     }
 
+    /// One variant match per *chunk* instead of per branch: the selected
+    /// concrete predictor's fused kernel then runs the whole block inlined.
     #[inline]
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         each_prophet!(self, p => p.replay_block(pcs, outcomes, start))

@@ -133,7 +133,7 @@ const INFLIGHT_CAPACITY: usize = 64;
 
 /// Deferred commit-time trainings are handed to the components' batched
 /// kernels in chunks of at most this many branches — the same chunk size
-/// the replay engine feeds `predict_block`.
+/// the replay engine feeds `replay_block`.
 const TRAIN_CHUNK: usize = 64;
 
 /// One in-flight (predicted, not yet committed) branch.

@@ -1,8 +1,6 @@
 //! Bimodal predictor: a table of two-bit counters indexed by branch address.
 
-use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-};
+use crate::{CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction};
 
 /// The bimodal (per-address two-bit counter) predictor.
 ///
@@ -68,14 +66,14 @@ impl DirectionPredictor for Bimodal {
     }
 
     /// Fused kernel: one index computation and one packed-word visit per
-    /// element.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
+    /// element. Bimodal reads no history, so `start` goes unused.
+    fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, _start: HistoryBits) -> PredictBlock {
         let mut bits = 0u64;
-        for (i, input) in inputs.iter().enumerate() {
-            let idx = self.index(input.pc);
-            bits |= u64::from(self.table.predict_update(idx, input.taken)) << i;
+        for (i, &pc) in pcs.iter().enumerate() {
+            let taken = (outcomes >> i) & 1 == 1;
+            bits |= u64::from(self.table.predict_update(self.index(pc), taken)) << i;
         }
-        PredictBlock::from_parts(bits, inputs.len())
+        PredictBlock::from_parts(bits, pcs.len())
     }
 }
 

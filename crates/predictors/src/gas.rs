@@ -1,8 +1,6 @@
 //! GAs: two-level adaptive prediction with global history concatenation.
 
-use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-};
+use crate::{CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction};
 
 /// The GAs two-level adaptive predictor (Yeh/Patt).
 ///
@@ -65,14 +63,18 @@ impl DirectionPredictor for GAs {
     }
 
     /// Fused kernel: one concatenated index per element serves the read and
-    /// the training write.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
+    /// the training write. The history advances in a local register from
+    /// `start` and the outcome mask.
+    fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         let mut bits = 0u64;
-        for (i, input) in inputs.iter().enumerate() {
-            let idx = self.index(input.pc, input.hist);
-            bits |= u64::from(self.table.predict_update(idx, input.taken)) << i;
+        let mut hist = start;
+        for (i, &pc) in pcs.iter().enumerate() {
+            let taken = (outcomes >> i) & 1 == 1;
+            let idx = self.index(pc, hist);
+            bits |= u64::from(self.table.predict_update(idx, taken)) << i;
+            hist.push(taken);
         }
-        PredictBlock::from_parts(bits, inputs.len())
+        PredictBlock::from_parts(bits, pcs.len())
     }
 }
 

@@ -2,8 +2,8 @@
 
 use crate::index::{gshare_index, mix2};
 use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-    SatCounter, TagLookup, TaggedTable,
+    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction, SatCounter,
+    TagLookup, TaggedTable,
 };
 
 /// McFarling's gshare predictor: two-bit counters indexed by
@@ -88,25 +88,8 @@ impl DirectionPredictor for Gshare {
     /// Fused kernel: the index hash is computed once per element, the
     /// prediction read and training write share one table visit, and the
     /// directions accumulate in a local bitmask instead of per-element
-    /// [`PredictBlock::push`] calls.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut bits = 0u64;
-        let width = self.table.index_bits();
-        for (i, input) in inputs.iter().enumerate() {
-            let idx = gshare_index(
-                input.pc.addr(),
-                input.hist.recent(self.history_len),
-                self.history_len,
-                width,
-            );
-            bits |= u64::from(self.table.predict_update(idx, input.taken)) << i;
-        }
-        PredictBlock::from_parts(bits, inputs.len())
-    }
-
-    /// Register-history kernel: the per-element history values are
-    /// reconstructed from `start` and the outcome mask in a local register —
-    /// replay hands over no per-element [`HistoryBits`] snapshots at all.
+    /// [`PredictBlock::push`] calls. The per-element history values are
+    /// reconstructed from `start` and the outcome mask in a local register.
     ///
     /// The register shifts at the *effective* length
     /// `min(history_len, start.len())`: bits the caller's register never
@@ -242,33 +225,6 @@ impl DirectionPredictor for TaggedGshare {
 
     fn name(&self) -> &'static str {
         "tagged-gshare"
-    }
-
-    /// Fused kernel: one hash and one LRU-touching set probe per element.
-    ///
-    /// The scalar path peeks (no LRU/clock effect) for the prediction, then
-    /// `lookup`s for training; since `peek` is side-effect-free, reading the
-    /// counter out of the single `lookup` before updating it leaves the
-    /// clock/LRU sequence — and therefore every future victim choice —
-    /// identical.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut out = PredictBlock::new();
-        for input in inputs {
-            let (idx, tag) = self.hash(input.pc, input.hist);
-            match self.table.lookup(idx, tag) {
-                Some(c) => {
-                    out.push(c.is_taken());
-                    c.update(input.taken);
-                }
-                None => {
-                    // Scalar predict on a tag miss defaults to not-taken.
-                    out.push(false);
-                    self.table
-                        .insert(idx, tag, SatCounter::weak_for(2, input.taken));
-                }
-            }
-        }
-        out
     }
 }
 

@@ -3,9 +3,7 @@
 
 use crate::history::{fold_bits, mask};
 use crate::index::{skew, skew_g, skew_h, skew_pc};
-use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-};
+use crate::{CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction};
 
 /// The 2Bc-gskew predictor.
 ///
@@ -163,7 +161,7 @@ impl BcGskew {
         }
     }
 
-    /// The fused kernels' bank reader: the same votes as [`votes_at`] via
+    /// The fused kernel's bank reader: the same votes as [`votes_at`] via
     /// the raw [`CounterTable::taken`] reads (pinned equal to the
     /// `SatCounter` accessor by the table's unit tests).
     fn votes_at_raw(&self, (bi, g0i, g1i, mi): (u64, u64, u64, u64)) -> BankVotes {
@@ -260,35 +258,12 @@ impl DirectionPredictor for BcGskew {
     /// G1/META share the long-history fold, so the per-element cost is one
     /// multiply and two history folds instead of three of each. The
     /// factored expressions are [`skew`]'s own definition term for term.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut bits = 0u64;
-        let width = self.bim.index_bits();
-        let g0_len = self.g0_history_len();
-        let m = mask(width);
-        for (i, input) in inputs.iter().enumerate() {
-            let addr = input.pc.addr();
-            let hs = fold_bits(input.hist.recent(g0_len), g0_len, width);
-            let hl = fold_bits(input.hist.recent(self.history_len), self.history_len, width);
-            let p = self.pc_memo.skew_pc_at(addr, width);
-            let gp = skew_g(p, width);
-            let banks = (
-                addr >> 2,
-                (skew_h(hs, width) ^ gp ^ p) & m,
-                (skew_h(hl, width) ^ gp ^ hl) & m,
-                (skew_g(hl, width) ^ skew_h(p, width) ^ p) & m,
-            );
-            let v = self.votes_at_raw(banks);
-            bits |= u64::from(Self::final_of(v)) << i;
-            self.train_at(v, banks, input.taken);
-        }
-        PredictBlock::from_parts(bits, inputs.len())
-    }
-
-    /// Register-history kernel: both the short (`g0`) and long history
-    /// values derive from one running register reconstructed from `start`
-    /// and the outcome mask, shifted at the effective length
-    /// `min(history_len, start.len())` so dropped bits read as zero exactly
-    /// like [`HistoryBits::recent`] on the scalar path.
+    ///
+    /// Both the short (`g0`) and long history values derive from one
+    /// running register reconstructed from `start` and the outcome mask,
+    /// shifted at the effective length `min(history_len, start.len())` so
+    /// dropped bits read as zero exactly like [`HistoryBits::recent`] on the
+    /// scalar path.
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         let mut bits = 0u64;
         let width = self.bim.index_bits();

@@ -166,13 +166,11 @@ impl Prediction {
     }
 }
 
-/// One element of a batched predictor call: the branch, the history value
-/// its prediction must be made with, and its resolved outcome for the fused
-/// training step.
+/// One element of a batched training call: the branch, the history value
+/// its prediction was made with, and its resolved outcome.
 ///
-/// Batched replay knows every branch's outcome up front (the trace is
-/// non-speculative), so prediction and commit-time training fuse into one
-/// table visit per element.
+/// [`DirectionPredictor::train_block`] takes a slice of these; the hybrid
+/// engine queues its deferred commit-time trainings in this form.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct PredictInput {
     /// Branch address.
@@ -303,35 +301,11 @@ pub trait DirectionPredictor {
         self.storage_bits().div_ceil(8)
     }
 
-    /// Fused batched predict-then-train over up to
-    /// [`PredictBlock::CAPACITY`] branches.
-    ///
-    /// For each element in order: predict with the element's history value,
-    /// then train with its outcome — exactly the scalar
-    /// [`predict`](Self::predict)/[`update`](Self::update) interleaving, so
-    /// the returned directions and the post-call predictor state are
-    /// bit-identical to the scalar path. The default does precisely that;
-    /// structure-of-arrays predictors override it to compute each element's
-    /// table index once instead of twice. `batch_equiv.rs` pins the
-    /// equivalence for every implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() > PredictBlock::CAPACITY`.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut out = PredictBlock::new();
-        for input in inputs {
-            out.push(self.predict(input.pc, input.hist).taken());
-            self.update(input.pc, input.hist, input.taken);
-        }
-        out
-    }
-
     /// Batched train-only pass: [`update`](Self::update) per element, in
     /// order, with no predictions produced.
     ///
-    /// Used where predictions would be discarded (warm-up regions, deferred
-    /// commit-time training). Because `predict` has no side effects,
+    /// Used where predictions would be discarded: the hybrid engine's
+    /// deferred commit-time training. Because `predict` has no side effects,
     /// skipping it leaves the predictor in exactly the scalar-path state.
     fn train_block(&mut self, inputs: &[PredictInput]) {
         for input in inputs {
@@ -339,71 +313,40 @@ pub trait DirectionPredictor {
         }
     }
 
-    /// Fused batched predict-then-train from a chunk's *implicit* histories:
-    /// element `i`'s history register value is `start` advanced by outcome
-    /// bits `0..i` of `outcomes`.
+    /// Fused batched predict-then-train over up to
+    /// [`PredictBlock::CAPACITY`] branches, from a chunk's *implicit*
+    /// histories: element `i`'s history register value is `start` advanced
+    /// by outcome bits `0..i` of `outcomes`.
+    ///
+    /// For each element in order: predict with its history value, then
+    /// train with its outcome — exactly the scalar
+    /// [`predict`](Self::predict)/[`update`](Self::update) interleaving, so
+    /// the returned directions and the post-call predictor state are
+    /// bit-identical to the scalar path. The default does precisely that.
     ///
     /// This is how trace replay presents a chunk — on a correct-path trace
     /// every element's history is derivable from the chunk's start history
     /// and the recorded outcome mask, so the replay engine does not buffer a
     /// per-element [`HistoryBits`] snapshot (the measured ~6.5 ns/pred
-    /// buffering residual). Global-history predictors override this to keep
-    /// the running history in a register; the default materializes the
-    /// per-element inputs on the stack and delegates to
-    /// [`predict_block`](Self::predict_block), which is exact for every
-    /// implementation. `batch_equiv.rs` pins both against the scalar path.
+    /// buffering residual). Table-based predictors override this with one
+    /// fused kernel that keeps the running history in a register and
+    /// computes each element's table index once instead of twice.
+    /// `batch_equiv.rs` pins every implementation against the scalar path.
     ///
     /// # Panics
     ///
     /// Panics if `pcs.len() > PredictBlock::CAPACITY`.
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         assert!(pcs.len() <= PredictBlock::CAPACITY, "replay block overfull");
-        let mut inputs = [PredictInput {
-            pc: Pc::new(0),
-            hist: start,
-            taken: false,
-        }; PredictBlock::CAPACITY];
+        let mut out = PredictBlock::new();
         let mut hist = start;
         for (i, &pc) in pcs.iter().enumerate() {
             let taken = (outcomes >> i) & 1 == 1;
-            inputs[i] = PredictInput { pc, hist, taken };
+            out.push(self.predict(pc, hist).taken());
+            self.update(pc, hist, taken);
             hist.push(taken);
         }
-        self.predict_block(&inputs[..pcs.len()])
-    }
-}
-
-impl<P: DirectionPredictor + ?Sized> DirectionPredictor for Box<P> {
-    fn predict(&self, pc: Pc, hist: HistoryBits) -> Prediction {
-        (**self).predict(pc, hist)
-    }
-
-    fn update(&mut self, pc: Pc, hist: HistoryBits, taken: bool) {
-        (**self).update(pc, hist, taken);
-    }
-
-    fn history_len(&self) -> usize {
-        (**self).history_len()
-    }
-
-    fn storage_bits(&self) -> usize {
-        (**self).storage_bits()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        (**self).predict_block(inputs)
-    }
-
-    fn train_block(&mut self, inputs: &[PredictInput]) {
-        (**self).train_block(inputs);
-    }
-
-    fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
-        (**self).replay_block(pcs, outcomes, start)
+        out
     }
 }
 
@@ -479,8 +422,9 @@ mod tests {
                 taken: i % 2 == 0,
             })
             .collect();
-        let block = p.predict_block(&inputs);
-        assert_eq!(block.len(), inputs.len());
+        let pcs: Vec<Pc> = inputs.iter().map(|input| input.pc).collect();
+        let block = p.replay_block(&pcs, 0b0101_0101, HistoryBits::new(0));
+        assert_eq!(block.len(), pcs.len());
         p.train_block(&inputs);
     }
 }

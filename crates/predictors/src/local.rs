@@ -1,9 +1,7 @@
 //! Local (per-address) two-level prediction, PAs / Alpha 21264 style.
 
 use crate::history::mask;
-use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-};
+use crate::{CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction};
 
 /// A local-history two-level predictor.
 ///
@@ -87,21 +85,9 @@ impl DirectionPredictor for Local {
 
     /// Fused kernel: the L1 slot and L2 index are derived once per element;
     /// the L2 index is read *before* this element's history push, exactly as
-    /// the scalar predict-before-update ordering demands.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut bits = 0u64;
-        for (i, input) in inputs.iter().enumerate() {
-            let slot = self.l1_index(input.pc);
-            let l2 = self.l2_index(input.pc);
-            bits |= u64::from(self.table.predict_update(l2, input.taken)) << i;
-            self.histories[slot] =
-                ((self.histories[slot] << 1) | u64::from(input.taken)) & mask(self.history_len);
-        }
-        PredictBlock::from_parts(bits, inputs.len())
-    }
-
-    /// Replay kernel: `Local` ignores the caller's global history entirely,
-    /// so the chunk's addresses and outcome mask are all it needs.
+    /// the scalar predict-before-update ordering demands. `Local` ignores
+    /// the caller's global history entirely, so the chunk's addresses and
+    /// outcome mask are all it needs.
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, _start: HistoryBits) -> PredictBlock {
         let mut bits = 0u64;
         for (i, &pc) in pcs.iter().enumerate() {

@@ -1,16 +1,15 @@
 //! The perceptron predictor of Jiménez and Lin.
 //!
-//! Every path — scalar `predict`/`update` and the fused kernels — first
-//! expands the history register into a vector of ±1 inputs, one byte
-//! per position, through a 256-entry byte-expansion table. The dot
+//! Every path — scalar `predict`/`update` and the fused replay kernel —
+//! first expands the history register into a vector of ±1 inputs, one
+//! byte per position, through a 256-entry byte-expansion table. The dot
 //! product and the saturating weight update are then plain zips of two
 //! byte slices, which the compiler turns into SIMD lanes, instead of a
 //! bit test and a ±1 select per weight. The replay kernel keeps the
 //! history in a register and expands it once per branch.
 
 use crate::{
-    mask, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-    MAX_HISTORY_BITS,
+    mask, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction, MAX_HISTORY_BITS,
 };
 
 /// Weight type: 8-bit signed, as budgeted by Table 3 of the paper
@@ -192,18 +191,8 @@ impl DirectionPredictor for Perceptron {
     /// Fused kernel: the dot product `y` is computed once per element and
     /// serves both the prediction and the train-or-not decision — the
     /// scalar path walks the weight row twice (`predict` then `update`).
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        let mut out = PredictBlock::new();
-        for input in inputs {
-            let x = signs(input.hist.bits());
-            out.push(self.predict_train(self.row(input.pc), &x, input.taken));
-        }
-        out
-    }
-
-    /// Keeps the history in a register clipped to `history_len` (the
-    /// positions the weights read) and expands it once per element, with
-    /// no per-element [`PredictInput`] built.
+    /// The history stays in a register clipped to `history_len` (the
+    /// positions the weights read) and is expanded once per element.
     fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         assert!(pcs.len() <= PredictBlock::CAPACITY, "replay block overfull");
         let eff = self.history_len.min(start.len());

@@ -21,17 +21,18 @@
 //! no other branch can alias. A confidence gate arbitrates: the dedicated
 //! entry only overrides TAGE when its counter is saturated.
 //!
-//! Both scalar and fused batched kernels are provided. `predict` is pure
-//! (`&self`), so the fused `predict_block` — which computes each element's
-//! per-bank index/tag hashes once and predicts-then-trains in element
-//! order — is *exactly* the scalar sequence; `batch_equiv.rs` pins the
-//! equivalence and `tage_invariants.rs` pins the structural invariants.
+//! Both a scalar path and a fused replay kernel (`replay_block`) are
+//! provided. `predict` is pure (`&self`), so the kernel — which computes
+//! each element's per-bank index/tag hashes once and predicts-then-trains
+//! in element order — is *exactly* the scalar sequence; `batch_equiv.rs`
+//! pins the equivalence and `tage_invariants.rs` pins the structural
+//! invariants.
 //!
 //! Every bank shares one index width and one tag width, so the PC half of
 //! the tag hash is computed once per branch, not once per bank. The replay
-//! kernel (`replay_block`) goes further: replay history moves one outcome
-//! at a time, so it keeps each bank's index fold and tag fold as a
-//! *folded-history register*, seeded from the chunk's start register once
+//! kernel goes further: replay history moves one outcome at a time, so it
+//! keeps each bank's index fold and tag fold as a *folded-history
+//! register*, seeded from the chunk's start register once
 //! per call and stepped in constant time per element, instead of
 //! re-folding up to 64 history bits per bank per branch. Those registers
 //! live only inside one call; the predictor stores nothing derived from
@@ -43,7 +44,7 @@ use crate::counter::SatCounter;
 use crate::history::{fold_bits, mask, HistoryBits};
 use crate::index::{fold, gshare_index, mix2_tag_pc};
 use crate::table::CounterTable;
-use crate::{DirectionPredictor, Pc, PredictBlock, PredictInput, Prediction};
+use crate::{DirectionPredictor, Pc, PredictBlock, Prediction};
 
 /// Counter width of the tagged banks (the conventional TAGE choice).
 const CTR_BITS: usize = 3;
@@ -113,8 +114,8 @@ impl Folds {
 
 /// Everything one `(pc, history)` context resolves to: per-bank hashes,
 /// the provider/alternate scan result and the H2P allocator's entry.
-/// Computed once and shared between the predict and train halves of the
-/// fused kernels — `predict` reads no mutable state, so the reuse is
+/// Computed once and shared between the predict and train halves of
+/// `predict_train` — `predict` reads no mutable state, so the reuse is
 /// bit-identical to recomputing.
 struct Lookup {
     pc: Pc,
@@ -757,22 +758,6 @@ impl DirectionPredictor for Tage {
         }
     }
 
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
-        assert!(inputs.len() <= PredictBlock::CAPACITY, "block overfull");
-        let mut bits = 0u64;
-        for (i, input) in inputs.iter().enumerate() {
-            let look = self.lookup(input.pc, input.hist);
-            bits |= u64::from(self.predict_train(&look, input.taken)) << i;
-        }
-        PredictBlock::from_parts(bits, inputs.len())
-    }
-
-    fn train_block(&mut self, inputs: &[PredictInput]) {
-        for input in inputs {
-            self.update(input.pc, input.hist, input.taken);
-        }
-    }
-
     /// Keeps each bank's `Folds` as folded-history registers, seeded from
     /// `start` once per call. Pushing outcome `t` shifts a bank's
     /// `len`-bit slice of the register left by one and drops its oldest
@@ -894,30 +879,26 @@ mod tests {
     }
 
     #[test]
-    fn update_trains_exactly_like_predict_block() {
+    fn update_trains_exactly_like_replay_block() {
         let mut scalar = small();
         let mut fused = small();
         let mut bhr = HistoryBits::new(scalar.history_len());
-        let mut inputs = Vec::new();
         let mut state = 0x9e37_79b9u64;
-        for _ in 0..512 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pc = Pc::new(0x40_0000 + (state >> 58) * 4);
-            let taken = state & 4 == 4;
-            inputs.push(PredictInput {
-                pc,
-                hist: bhr,
-                taken,
-            });
-            bhr.push(taken);
-        }
-        for input in &inputs {
-            scalar.update(input.pc, input.hist, input.taken);
-        }
-        for chunk in inputs.chunks(64) {
-            let _ = fused.predict_block(chunk);
+        for _ in 0..8 {
+            let start = bhr;
+            let mut pcs = [Pc::new(0); PredictBlock::CAPACITY];
+            let mut outcomes = 0u64;
+            for (i, pc) in pcs.iter_mut().enumerate() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                *pc = Pc::new(0x40_0000 + (state >> 58) * 4);
+                let taken = state & 4 == 4;
+                outcomes |= u64::from(taken) << i;
+                scalar.update(*pc, bhr, taken);
+                bhr.push(taken);
+            }
+            let _ = fused.replay_block(&pcs, outcomes, start);
         }
         assert_eq!(scalar, fused);
     }

@@ -3,8 +3,8 @@
 
 use crate::index::mix2;
 use crate::{
-    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, PredictInput, Prediction,
-    SatCounter, TaggedTable,
+    CounterTable, DirectionPredictor, HistoryBits, Pc, PredictBlock, Prediction, SatCounter,
+    TaggedTable,
 };
 
 /// The YAGS predictor.
@@ -139,13 +139,16 @@ impl DirectionPredictor for Yags {
     /// Fused kernel: choice index, bias and the cache hash are computed once
     /// per element; the exception cache's pre-update direction serves both
     /// as the prediction and as the `prior` the choice-update policy needs.
-    fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
+    /// The history advances in a local register from `start` and the
+    /// outcome mask.
+    fn replay_block(&mut self, pcs: &[Pc], outcomes: u64, start: HistoryBits) -> PredictBlock {
         let mut out = PredictBlock::new();
-        for input in inputs {
-            let ci = self.choice_index(input.pc);
+        let mut hist = start;
+        for (i, &pc) in pcs.iter().enumerate() {
+            let taken = (outcomes >> i) & 1 == 1;
+            let ci = self.choice_index(pc);
             let bias = self.choice.counter(ci).is_taken();
-            let (idx, tag) = self.cache_hash(input.pc, input.hist);
-            let taken = input.taken;
+            let (idx, tag) = self.cache_hash(pc, hist);
 
             let cache = if bias {
                 &mut self.not_taken_cache
@@ -165,6 +168,7 @@ impl DirectionPredictor for Yags {
             if !cache_was_correct_exception {
                 self.choice.update(ci, taken);
             }
+            hist.push(taken);
         }
         out
     }

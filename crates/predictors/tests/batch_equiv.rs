@@ -1,12 +1,13 @@
 //! Differential property suite for the batched kernels.
 //!
-//! Every predictor's `predict_block`/`train_block`/`replay_block` must be
+//! Every predictor's `replay_block` and `train_block` must be
 //! prediction-for-prediction and state-for-state identical to the scalar
 //! `predict`/`update` path — for random chunk sizes 1..=64, with the global
-//! history evolving *inside* chunks (each element's history value already
-//! contains the outcomes of the elements before it). The BENCH artifacts and
-//! every cached `sim::store` cell depend on prediction streams, so this
-//! equivalence is the gate on the whole structure-of-arrays layer.
+//! history evolving *inside* chunks (`replay_block` derives each element's
+//! history value from the chunk's start register and the outcomes of the
+//! elements before it). The BENCH artifacts and every cached `sim::store`
+//! cell depend on prediction streams, so this equivalence is the gate on
+//! the whole structure-of-arrays layer.
 
 use predictors::configs::{self, Budget};
 use predictors::{
@@ -91,6 +92,27 @@ fn random_chunks(inputs: &[PredictInput], seed: u64) -> Vec<&[PredictInput]> {
     chunks
 }
 
+/// Replays `chunks` in order through `replay_block`, each as its
+/// addresses, its outcome mask and its first element's history register.
+/// Returns every direction.
+fn replay_run<'a, P: DirectionPredictor>(
+    p: &mut P,
+    chunks: impl IntoIterator<Item = &'a [PredictInput]>,
+) -> Vec<bool> {
+    let mut preds = Vec::new();
+    for chunk in chunks {
+        let pcs: Vec<Pc> = chunk.iter().map(|input| input.pc).collect();
+        let mut outcomes = 0u64;
+        for (i, input) in chunk.iter().enumerate() {
+            outcomes |= u64::from(input.taken) << i;
+        }
+        let block = p.replay_block(&pcs, outcomes, chunk[0].hist);
+        assert_eq!(block.len(), chunk.len());
+        preds.extend((0..block.len()).map(|i| block.taken(i)));
+    }
+    preds
+}
+
 /// The scalar reference: predict-then-update per element.
 fn scalar_run<P: DirectionPredictor>(p: &mut P, inputs: &[PredictInput]) -> Vec<bool> {
     inputs
@@ -115,9 +137,8 @@ where
 
 /// Asserts batched == scalar over `inputs`: directions element-for-element,
 /// then the full predictor state (via `PartialEq` over every table word,
-/// weight, tag and LRU stamp), for `predict_block`, `train_block`,
-/// `replay_block` and a mix of the first two. Returns the scalar run's
-/// final predictor.
+/// weight, tag and LRU stamp), for `replay_block`, `train_block` and a mix
+/// of the two. Returns the scalar run's final predictor.
 fn assert_batch_equiv_on<P>(make: impl Fn() -> P, inputs: &[PredictInput], seed: u64) -> P
 where
     P: DirectionPredictor + PartialEq + std::fmt::Debug,
@@ -125,26 +146,19 @@ where
     let mut scalar = make();
     let scalar_preds = scalar_run(&mut scalar, inputs);
 
-    // predict_block over random chunk sizes.
-    let mut batched = make();
-    let mut batched_preds = Vec::with_capacity(inputs.len());
-    for chunk in random_chunks(inputs, seed ^ 0x000c_4a17) {
-        let block = batched.predict_block(chunk);
-        assert_eq!(block.len(), chunk.len());
-        for i in 0..block.len() {
-            batched_preds.push(block.taken(i));
-        }
-    }
+    // replay_block over random chunk sizes.
+    let mut replayed = make();
+    let replay_preds = replay_run(&mut replayed, random_chunks(inputs, seed ^ 0x000b_10c4));
     assert_eq!(
-        batched_preds,
+        replay_preds,
         scalar_preds,
-        "{}: batched directions diverged from scalar",
+        "{}: replay_block directions diverged from scalar",
         scalar.name()
     );
     assert_eq!(
-        batched,
+        replayed,
         scalar,
-        "{}: predictor state diverged after predict_block",
+        "{}: predictor state diverged after replay_block",
         scalar.name()
     );
 
@@ -161,43 +175,13 @@ where
         scalar.name()
     );
 
-    // replay_block reconstructs per-element histories from the chunk's
-    // start register and outcome mask — it must match the scalar path (and
-    // therefore predict_block) exactly, directions and state.
-    let mut replayed = make();
-    let mut replay_preds = Vec::with_capacity(inputs.len());
-    for chunk in random_chunks(inputs, seed ^ 0x000b_10c4) {
-        let pcs: Vec<Pc> = chunk.iter().map(|input| input.pc).collect();
-        let mut outcomes = 0u64;
-        for (i, input) in chunk.iter().enumerate() {
-            outcomes |= u64::from(input.taken) << i;
-        }
-        let block = replayed.replay_block(&pcs, outcomes, chunk[0].hist);
-        assert_eq!(block.len(), chunk.len());
-        for i in 0..block.len() {
-            replay_preds.push(block.taken(i));
-        }
-    }
-    assert_eq!(
-        replay_preds,
-        scalar_preds,
-        "{}: replay_block directions diverged from scalar",
-        scalar.name()
-    );
-    assert_eq!(
-        replayed,
-        scalar,
-        "{}: predictor state diverged after replay_block",
-        scalar.name()
-    );
-
     // Interleaving the two batched entry points mid-stream must also track
-    // the scalar state (replay alternates them around warm-up boundaries).
+    // the scalar state.
     let mut mixed = make();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x3_b0b);
     for chunk in random_chunks(inputs, seed ^ 0x3_b0b) {
         if rng.gen_bool(0.5) {
-            let _ = mixed.predict_block(chunk);
+            let _ = replay_run(&mut mixed, [chunk]);
         } else {
             mixed.train_block(chunk);
         }
@@ -205,7 +189,7 @@ where
     assert_eq!(
         mixed,
         scalar,
-        "{}: predictor state diverged after mixed predict/train blocks",
+        "{}: predictor state diverged after mixed replay/train blocks",
         scalar.name()
     );
     scalar
@@ -324,6 +308,20 @@ fn tage_with_allocator_on_longer_registers_batched_equals_scalar() {
 }
 
 #[test]
+fn replay_lineup_bimodal_batched_equals_scalar() {
+    let make = || Bimodal::new(64 * 1024);
+    let inputs = wide_stream(make().history_len(), 8192, 0xb164);
+    assert_batch_equiv_on(make, &inputs, 0xb164);
+}
+
+#[test]
+fn replay_lineup_gas_batched_equals_scalar() {
+    let make = || GAs::new(64 * 1024, 10);
+    let inputs = wide_stream(make().history_len(), 8192, 0x6a64);
+    assert_batch_equiv_on(make, &inputs, 0x6a64);
+}
+
+#[test]
 fn replay_lineup_perceptron_batched_equals_scalar() {
     // The 16 KB row replay runs: 348 rows of 47 history weights.
     let make = || configs::perceptron(Budget::K16);
@@ -379,13 +377,7 @@ fn tage_aging_reset_boundary_batched_equals_scalar() {
     let scalar_preds = scalar_run(&mut scalar, &inputs);
 
     let mut batched = make();
-    let mut got = Vec::with_capacity(inputs.len());
-    for chunk in random_chunks(&inputs, 0xa6e ^ 0x77) {
-        let block = batched.predict_block(chunk);
-        for i in 0..block.len() {
-            got.push(block.taken(i));
-        }
-    }
+    let got = replay_run(&mut batched, random_chunks(&inputs, 0xa6e ^ 0x77));
     assert_eq!(
         got, scalar_preds,
         "tage: directions diverged across aging resets"
@@ -394,8 +386,8 @@ fn tage_aging_reset_boundary_batched_equals_scalar() {
 }
 
 /// A predictor that implements only the scalar interface — it exercises the
-/// trait's *default* batched implementations, which every non-SoA
-/// implementation (and `Box<dyn DirectionPredictor>`) falls back on.
+/// trait's *default* batched implementations, which every predictor
+/// without a fused kernel (tagged gshare among them) falls back on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ScalarOnly(Gshare);
 
@@ -429,13 +421,7 @@ fn chunk_capacity_boundary_is_exact() {
     let inputs = stream(12, 64 * 32, 0xca);
     let scalar_preds = scalar_run(&mut scalar, &inputs);
     let mut batched = Gshare::new(4096, 12);
-    let mut got = Vec::new();
-    for chunk in inputs.chunks(PredictBlock::CAPACITY) {
-        let block = batched.predict_block(chunk);
-        for i in 0..block.len() {
-            got.push(block.taken(i));
-        }
-    }
+    let got = replay_run(&mut batched, inputs.chunks(PredictBlock::CAPACITY));
     assert_eq!(got, scalar_preds);
     assert_eq!(batched, scalar);
 }

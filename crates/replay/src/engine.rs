@@ -173,10 +173,10 @@ impl ReplayResult {
 /// replay budget this workspace runs, and the scalar reference would take
 /// hours before the cap could matter.
 ///
-/// Purely an accumulation detail — [`ReplaySession::finish`] folds it
-/// into the same per-branch profile the scalar reference builds through a
-/// plain `HashMap`, and the deterministic hardest-first sort erases any
-/// iteration-order difference.
+/// Purely an accumulation detail — [`ReplaySession::finish`] turns its
+/// entries into the same per-branch profile the scalar reference builds
+/// through a plain `HashMap`, and the deterministic hardest-first sort
+/// erases any iteration-order difference.
 struct PcStats {
     /// Probe key per slot (the branch PC). Kept apart from the counters so
     /// the memo-validation and probe loads stay in a dense, L1-resident
@@ -346,6 +346,9 @@ impl Chunk {
 
 /// Running replay state shared by the streaming and direct paths, so the
 /// corpus replay and the direct-execution reference cannot drift apart.
+/// Each path owns its own per-pc accumulator: the batched loop a
+/// [`PcStats`], the scalar reference (`step`, the semantics spec rather
+/// than the fast path) a plain `HashMap`.
 struct ReplaySession {
     config: ReplayConfig,
     hist: HistoryBits,
@@ -354,11 +357,6 @@ struct ReplaySession {
     measured_uops: u64,
     measured_conditionals: u64,
     mispredicts: u64,
-    /// Per-pc profile of the scalar reference path (the straightforward
-    /// structure; `step` is the semantics spec, not the fast path).
-    per_pc: HashMap<u64, BranchReplay>,
-    /// Per-pc profile of the batched path's measured branches.
-    batched_pc: PcStats,
 }
 
 impl ReplaySession {
@@ -371,13 +369,17 @@ impl ReplaySession {
             measured_uops: 0,
             measured_conditionals: 0,
             mispredicts: 0,
-            per_pc: HashMap::new(),
-            batched_pc: PcStats::new(),
         }
     }
 
-    /// Replays one record; returns `false` once the budget is exhausted.
-    fn step<P: DirectionPredictor>(&mut self, rec: &BranchRecord, predictor: &mut P) -> bool {
+    /// Replays one record, folding a measured conditional into `per_pc`;
+    /// returns `false` once the budget is exhausted.
+    fn step<P: DirectionPredictor>(
+        &mut self,
+        rec: &BranchRecord,
+        predictor: &mut P,
+        per_pc: &mut HashMap<u64, BranchReplay>,
+    ) -> bool {
         if self.total_uops >= self.config.max_uops {
             return false;
         }
@@ -394,7 +396,7 @@ impl ReplaySession {
                 self.measured_uops += u64::from(rec.uops_since_prev);
                 self.measured_conditionals += 1;
                 self.mispredicts += u64::from(mispredict);
-                let entry = self.per_pc.entry(rec.pc).or_insert(BranchReplay {
+                let entry = per_pc.entry(rec.pc).or_insert(BranchReplay {
                     pc: rec.pc,
                     occurrences: 0,
                     taken: 0,
@@ -458,8 +460,8 @@ impl ReplaySession {
 
     /// Runs one buffered chunk through the fused predict+train kernel and
     /// folds its statistics: the chunk totals fall out of one XOR against
-    /// the recorded-outcome mask plus popcounts, and the per-pc profile
-    /// walks only the measured elements' set bits. (Bits of
+    /// the recorded-outcome mask plus popcounts, and the per-pc profile in
+    /// `per_pc` walks only the measured elements' set bits. (Bits of
     /// [`PredictBlock::bits`] and of the chunk masks above the chunk
     /// length are all zero, so no length mask is needed.)
     ///
@@ -468,7 +470,12 @@ impl ReplaySession {
     /// conditional fills whole chunks with one PC, and folding the run in
     /// registers replaces its chain of dependent read-modify-writes on
     /// one slot with a single one.
-    fn flush_chunk<P: DirectionPredictor>(&mut self, predictor: &mut P, chunk: &Chunk) {
+    fn flush_chunk<P: DirectionPredictor>(
+        &mut self,
+        predictor: &mut P,
+        chunk: &Chunk,
+        per_pc: &mut PcStats,
+    ) {
         if chunk.len == 0 {
             return;
         }
@@ -495,33 +502,20 @@ impl ReplaySession {
                 packed += 1 + (((chunk.taken >> j) & 1) << 32);
                 misses += (miss >> j) & 1;
             }
-            self.batched_pc.add(pc, packed, misses);
+            per_pc.add(pc, packed, misses);
         }
     }
 
-    fn finish(self, trace: String, predictor: &'static str) -> ReplayResult {
-        // One of the two per-pc structures is empty for any given session:
-        // take the batched accumulator's entries directly when the scalar
-        // map was never touched (the deterministic sort below erases any
-        // iteration-order difference), and fold otherwise so both paths
-        // always report through identical downstream arithmetic.
-        let mut per_branch: Vec<BranchReplay> = if self.per_pc.is_empty() {
-            self.batched_pc.drain().collect()
-        } else {
-            let mut per_pc = self.per_pc;
-            for b in self.batched_pc.drain() {
-                let entry = per_pc.entry(b.pc).or_insert(BranchReplay {
-                    pc: b.pc,
-                    occurrences: 0,
-                    taken: 0,
-                    mispredicts: 0,
-                });
-                entry.occurrences += b.occurrences;
-                entry.taken += b.taken;
-                entry.mispredicts += b.mispredicts;
-            }
-            per_pc.into_values().collect()
-        };
+    /// Builds the result from the session's totals and the per-pc entries
+    /// of whichever accumulator the path filled. The deterministic sort
+    /// erases any iteration-order difference between the two.
+    fn finish(
+        self,
+        trace: String,
+        predictor: &'static str,
+        per_pc: impl Iterator<Item = BranchReplay>,
+    ) -> ReplayResult {
+        let mut per_branch: Vec<BranchReplay> = per_pc.collect();
         per_branch.sort_unstable_by(|a, b| b.mispredicts.cmp(&a.mispredicts).then(a.pc.cmp(&b.pc)));
         ReplayResult {
             trace,
@@ -554,6 +548,7 @@ pub(crate) fn replay_stream<R: Read, P: DirectionPredictor>(
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
     let mut session = ReplaySession::new(predictor, *config);
+    let mut per_pc = PcStats::new();
     let mut chunk = Chunk::new();
     let mut block = DecodedBlock::new();
     'blocks: while reader.next_block(&mut block)? {
@@ -595,7 +590,7 @@ pub(crate) fn replay_stream<R: Read, P: DirectionPredictor>(
                         chunk.measuring = if measured { !0 } else { 0 };
                         chunk.measured_uops = if measured { sum } else { 0 };
                         session.hist = HistoryBits::from_raw(w.reverse_bits(), session.hist.len());
-                        session.flush_chunk(predictor, &chunk);
+                        session.flush_chunk(predictor, &chunk, &mut per_pc);
                         chunk.clear();
                         r += 64;
                         continue;
@@ -607,13 +602,13 @@ pub(crate) fn replay_stream<R: Read, P: DirectionPredictor>(
             }
             r += 1;
             if chunk.is_full() {
-                session.flush_chunk(predictor, &chunk);
+                session.flush_chunk(predictor, &chunk, &mut per_pc);
                 chunk.clear();
             }
         }
     }
-    session.flush_chunk(predictor, &chunk);
-    Ok(session.finish(reader.name().to_string(), predictor.name()))
+    session.flush_chunk(predictor, &chunk, &mut per_pc);
+    Ok(session.finish(reader.name().to_string(), predictor.name(), per_pc.drain()))
 }
 
 /// Replays pre-decoded records through the scalar reference path (one
@@ -628,12 +623,13 @@ pub fn replay_records_scalar<P: DirectionPredictor>(
     config: &ReplayConfig,
 ) -> ReplayResult {
     let mut session = ReplaySession::new(predictor, *config);
+    let mut per_pc = HashMap::new();
     for rec in records {
-        if !session.step(rec, predictor) {
+        if !session.step(rec, predictor, &mut per_pc) {
             break;
         }
     }
-    session.finish(trace.to_string(), predictor.name())
+    session.finish(trace.to_string(), predictor.name(), per_pc.into_values())
 }
 
 /// Decodes a `.bt` image into its trace name and record list, the input
@@ -703,16 +699,21 @@ pub fn direct_replay<P: DirectionPredictor>(
 ) -> ReplayResult {
     let mut walker = Walker::with_seed(program, seed);
     let mut session = ReplaySession::new(predictor, *config);
+    let mut per_pc = HashMap::new();
     loop {
         let ev = walker.next_branch();
         // The same event-to-record conversion the corpus recorder uses,
         // so the two paths cannot drift on a field mapping.
-        if !session.step(&ev.to_record(), predictor) {
+        if !session.step(&ev.to_record(), predictor, &mut per_pc) {
             break;
         }
         walker.follow(ev.outcome);
     }
-    session.finish(program.name().to_string(), predictor.name())
+    session.finish(
+        program.name().to_string(),
+        predictor.name(),
+        per_pc.into_values(),
+    )
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //! same per-predictor accuracy as direct execution on the same seeds
 //! (the subsystem's acceptance pin).
 
+use std::path::Path;
+
 use predictors::configs::{self, Budget};
 use predictors::{Bimodal, DirectionPredictor};
 use replay::{
     direct_replay, load_snapshot, open_trace, record_corpus, replay_entry, verify_corpus, Manifest,
-    ReplayConfig, ReplayResult,
+    ReplayConfig, TraceEntry,
 };
 use workloads::{Benchmark, Walker};
 
@@ -27,13 +29,22 @@ fn benches(names: &[&str]) -> Vec<Benchmark> {
         .collect()
 }
 
-fn predictors_under_test() -> Vec<Box<dyn DirectionPredictor>> {
-    vec![
-        Box::new(Bimodal::new(8 * 1024)),
-        Box::new(configs::gshare(Budget::K8)),
-        Box::new(configs::bc_gskew(Budget::K8)),
-        Box::new(configs::perceptron(Budget::K8)),
-    ]
+/// Replays `entry`'s recorded trace and `bench`'s direct execution, each
+/// through a fresh predictor from `make`: the results must be identical.
+fn check<P: DirectionPredictor>(
+    dir: &Path,
+    bench: &Benchmark,
+    entry: &TraceEntry,
+    make: impl Fn() -> P,
+) {
+    let cfg = ReplayConfig::with_budget(BUDGET);
+    let from_disk = replay_entry(dir, entry, &mut make(), &cfg).unwrap();
+    let direct = direct_replay(&bench.program(), bench.seed, &mut make(), &cfg);
+    assert_eq!(
+        from_disk, direct,
+        "{} on {}: corpus replay diverged from direct execution",
+        direct.predictor, bench.name
+    );
 }
 
 #[test]
@@ -43,21 +54,12 @@ fn recorded_corpus_replay_matches_direct_execution() {
     let manifest = record_corpus(&dir, &benches, BUDGET).unwrap();
     verify_corpus(&dir, &manifest).unwrap();
 
-    let cfg = ReplayConfig::with_budget(BUDGET);
     for (bench, entry) in benches.iter().zip(&manifest.entries) {
         assert_eq!(entry.uop_budget, BUDGET);
-        for (mut disk_pred, mut direct_pred) in predictors_under_test()
-            .into_iter()
-            .zip(predictors_under_test())
-        {
-            let from_disk: ReplayResult = replay_entry(&dir, entry, &mut disk_pred, &cfg).unwrap();
-            let direct = direct_replay(&bench.program(), bench.seed, &mut direct_pred, &cfg);
-            assert_eq!(
-                from_disk, direct,
-                "{} on {}: corpus replay diverged from direct execution",
-                direct.predictor, bench.name
-            );
-        }
+        check(&dir, bench, entry, || Bimodal::new(8 * 1024));
+        check(&dir, bench, entry, || configs::gshare(Budget::K8));
+        check(&dir, bench, entry, || configs::bc_gskew(Budget::K8));
+        check(&dir, bench, entry, || configs::perceptron(Budget::K8));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -9,8 +9,7 @@
 //!   returning the per-cell results in input order;
 //! * [`run_grid`] — the same, pooled per spec (the paper's usual
 //!   aggregate);
-//! * [`pooled_accuracy`] / [`single_accuracy`] — the one-spec
-//!   conveniences the figure modules use.
+//! * [`pooled_accuracy`] — one spec over a set of programs, pooled.
 //!
 //! Parallel execution is deterministic: cells are distributed dynamically
 //! but results are collected by input index, and each cell's simulation is
@@ -588,26 +587,6 @@ pub fn cycle_grid(
     rows.into_iter()
         .map(|row| row.into_iter().map(Option::unwrap).collect())
         .collect()
-}
-
-/// Runs `spec` on a single program.
-#[must_use]
-pub fn single_accuracy(
-    spec: &HybridSpec,
-    bench: &Benchmark,
-    program: &Program,
-    env: &ExpEnv,
-) -> AccuracyResult {
-    let mut hybrid = spec.build();
-    let mut r = run_accuracy(program, &mut hybrid, &env.sim_config(bench.seed));
-    // The walker reports the program's name; experiments label results by
-    // benchmark. Overwrite in place rather than cloning a fresh String
-    // when the names already agree.
-    if r.benchmark != bench.name {
-        r.benchmark.clear();
-        r.benchmark.push_str(&bench.name);
-    }
-    r
 }
 
 #[cfg(test)]

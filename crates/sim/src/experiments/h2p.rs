@@ -9,7 +9,7 @@
 //!
 //! 1. record the correct-path trace in memory (identical bytes to
 //!    `traces record`);
-//! 2. flag the H2P statics from the trace's [`BranchProfile`]
+//! 2. flag the H2P statics from the trace's [`bptrace::BranchProfile`]
 //!    (low-bias conditionals with enough dynamic executions —
 //!    predictor-independent);
 //! 3. replay the **baseline** over the trace (§6: conventional
@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use bptrace::{BranchProfile, BtReader, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
+use bptrace::{H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use predictors::configs::{self, Budget};
 use prophet_critic::HybridSpec;
 use replay::{record_trace, replay_bytes, ReplayConfig};
@@ -85,8 +85,8 @@ pub struct H2pBench {
     /// (re-execution) — the allocator ablation's control arm.
     pub tage_misp: u64,
     /// The same 16 KB TAGE with the Bullseye-style [`DynamicAllocator`]
-    /// attached and seeded from this trace's [`BranchProfile`] H2P flags
-    /// — mispredicts summed over the population (re-execution).
+    /// attached and seeded from this trace's [`bptrace::BranchProfile`]
+    /// H2P flags — mispredicts summed over the population (re-execution).
     ///
     /// [`DynamicAllocator`]: predictors::DynamicAllocator
     pub tage_h2p_misp: u64,
@@ -163,18 +163,10 @@ fn h2p_one_bench(
 ) -> H2pBench {
     {
         let mut bt = Vec::new();
-        record_trace(program, bench.seed, budget, &mut bt)
+        // H2P population from the corpus profile (predictor-independent),
+        // built by the recorder from the records it writes.
+        let (_, profile) = record_trace(program, bench.seed, budget, &mut bt)
             .expect("in-memory recording cannot fail");
-
-        // H2P population from the corpus profile (predictor-independent).
-        let mut profile = BranchProfile::new();
-        let mut reader = BtReader::new(bt.as_slice()).expect("in-memory trace is well-formed");
-        while let Some(rec) = reader
-            .next_record()
-            .expect("in-memory trace is well-formed")
-        {
-            profile.observe(&rec);
-        }
         let h2p: Vec<u64> = profile
             .h2p_candidates(H2P_MIN_OCCURRENCES, H2P_MAX_BIAS)
             .iter()

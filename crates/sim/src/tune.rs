@@ -47,7 +47,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bptrace::{BranchProfile, BtReader, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
+use bptrace::{H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use predictors::configs::{self, Budget};
 use prophet_critic::{CriticKind, HybridSpec, ProphetKind};
 use replay::{record_trace, replay_bytes, ReplayConfig};
@@ -806,7 +806,7 @@ fn rank_order(a: &TuneCell, b: &TuneCell) -> std::cmp::Ordering {
 }
 
 /// One benchmark's hard-to-predict slice: the H2P statics flagged by the
-/// corpus [`BranchProfile`], with mispredicts on exactly that branch
+/// corpus [`bptrace::BranchProfile`], with mispredicts on exactly that branch
 /// population under the baseline (trace replay) and the two hybrids
 /// (snapshot-style re-execution with a per-commit observer).
 #[derive(Clone, PartialEq, Debug)]
@@ -830,7 +830,7 @@ pub struct H2pSlice {
 /// default vs. the baseline, over an in-memory recorded corpus.
 ///
 /// One cell per benchmark through [`par_map`]: record the correct-path
-/// trace, flag H2P statics from its [`BranchProfile`]
+/// trace, flag H2P statics from its [`bptrace::BranchProfile`]
 /// ([`H2P_MIN_OCCURRENCES`]/[`H2P_MAX_BIAS`]), replay the baseline over
 /// the trace, and re-execute both hybrids with the per-PC observer.
 /// Deterministic for any thread count.
@@ -845,18 +845,10 @@ pub fn h2p_slices(
     let default = untuned_default();
     par_map(programs, env.threads, |_, (bench, program)| {
         let mut bt = Vec::new();
-        record_trace(program, bench.seed, budget, &mut bt)
+        // H2P population from the corpus profile (predictor-independent),
+        // built by the recorder from the records it writes.
+        let (_, profile) = record_trace(program, bench.seed, budget, &mut bt)
             .expect("in-memory recording cannot fail");
-
-        // H2P population from the corpus profile (predictor-independent).
-        let mut profile = BranchProfile::new();
-        let mut reader = BtReader::new(bt.as_slice()).expect("in-memory trace is well-formed");
-        while let Some(rec) = reader
-            .next_record()
-            .expect("in-memory trace is well-formed")
-        {
-            profile.observe(&rec);
-        }
         let h2p: HashSet<u64> = profile
             .h2p_candidates(H2P_MIN_OCCURRENCES, H2P_MAX_BIAS)
             .iter()
