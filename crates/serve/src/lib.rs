@@ -4,9 +4,10 @@
 //! The server (the `serve` binary) loads an optional trace-corpus
 //! manifest at startup and answers prediction requests by scheduling
 //! simulation cells over `sim`'s deterministic parallel runner. Every
-//! answerable unit of work is keyed by the same content-hash
-//! [`sim::store::CellKey`]s the CLI grids use, so the on-disk cell
-//! store **is** the serving result cache:
+//! answerable unit of work is one of the store cells defined in
+//! `sim::experiments::common`, which give the CLI grids and the server
+//! the same content-hash [`sim::store::CellKey`]s and computations, so
+//! the on-disk cell store **is** the serving result cache:
 //!
 //! * a repeated identical request never recomputes — the second answer
 //!   comes from the store, byte-identical to the first;

@@ -1,8 +1,9 @@
 //! Request routing and the endpoint handlers.
 //!
 //! Every simulation-backed endpoint resolves its work through
-//! [`ServerState::resolve`] using the **same** cell keys as the CLI
-//! experiment grids (`sim::experiments::common`), so the on-disk cell
+//! [`ServerState::resolve`] using the **same** cell definitions as the
+//! CLI experiment grids (`accuracy_cell`, `cycle_cell`, `replay_cell` and
+//! `trace_cycle_cell` in `sim::experiments::common`), so the on-disk cell
 //! store is the serving result cache: a repeated request — or a request
 //! against a store warmed by `experiments --store` — answers without
 //! recomputation, and the response body is byte-identical (bodies carry
@@ -20,24 +21,18 @@
 //! | POST | `/v1/tracecmp-cell` | one tournament cell (replay/accuracy/cycle) |
 //! | POST | `/v1/experiment` | a full experiment from the registry |
 
-use bptrace::BtReader;
 use predictors::configs::Budget;
 use predictors::DirectionPredictor;
 use prophet_critic::{AnyProphet, CriticKind, HybridSpec, ProphetKind};
-use replay::{replay_bytes, ReplayConfig, ReplayResult, TraceEntry};
+use replay::{ReplayResult, TraceEntry};
 use sim::experiments::common::{
-    accuracy_cell_key, cycle_cell_key, cycle_cfg, replay_cell_key, select_benchmarks,
-    trace_cycle_cell_key,
+    accuracy_cell, cycle_cell, replay_cell, select_benchmarks, trace_cycle_cell,
 };
 use sim::experiments::tracecmp::{conventional_lineup, size_label};
-use sim::experiments::upc::suite_data_profile;
 use sim::experiments::{h2p, headline, tracecmp, tune};
 use sim::json::{self, Json};
 use sim::table::Table;
-use sim::{
-    par_map, run_accuracy, run_cycles, run_cycles_trace, AccuracyResult, CycleConfig, CycleResult,
-    SimConfig,
-};
+use sim::{par_map, AccuracyResult, CycleResult};
 use workloads::Benchmark;
 
 use crate::http::{HttpError, Request, Response};
@@ -348,25 +343,11 @@ fn predict(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> {
     let budget = state.env.uop_budget();
 
     let accuracy: Vec<(AccuracyResult, bool)> = par_map(&benches, state.env.threads, |_, bench| {
-        let key = accuracy_cell_key(&spec, bench, budget);
-        state.resolve(&key, || {
-            let program = state.program(bench);
-            let mut hybrid = spec.build();
-            run_accuracy(
-                &program,
-                &mut hybrid,
-                &SimConfig::with_budget(budget, bench.seed),
-            )
-        })
+        state.resolve(accuracy_cell(&spec, bench, budget, None, || {
+            state.program(bench)
+        }))
     });
-    let mut cells = CellCounts::default();
-    for (_, hit) in &accuracy {
-        if *hit {
-            cells.hit += 1;
-        } else {
-            cells.missed += 1;
-        }
-    }
+    let mut cells = CellCounts::of(accuracy.iter().map(|(_, hit)| *hit));
     let runs: Vec<AccuracyResult> = accuracy.iter().map(|(r, _)| r.clone()).collect();
     let pooled = AccuracyResult::pooled(&spec.label(), &runs);
 
@@ -400,20 +381,9 @@ fn predict(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> {
     let mut outcome_bubbles = None;
     if want_cycle {
         let cycles: Vec<(CycleResult, bool)> = par_map(&benches, state.env.threads, |_, bench| {
-            let key = cycle_cell_key(&spec, bench, budget);
-            state.resolve(&key, || {
-                let program = state.program(bench);
-                let mut hybrid = spec.build();
-                run_cycles(&program, &mut hybrid, &cycle_cfg(&state.env, bench))
-            })
+            state.resolve(cycle_cell(&spec, bench, budget, || state.program(bench)))
         });
-        for (_, hit) in &cycles {
-            if *hit {
-                cells.hit += 1;
-            } else {
-                cells.missed += 1;
-            }
-        }
+        cells.add(CellCounts::of(cycles.iter().map(|(_, hit)| *hit)));
         let uops: u64 = cycles.iter().map(|(r, _)| r.committed_uops).sum();
         let total_cycles: f64 = cycles.iter().map(|(r, _)| r.cycles).sum();
         let upc = if total_cycles == 0.0 {
@@ -467,9 +437,15 @@ fn predict(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> {
     Ok(outcome)
 }
 
-/// The shared `ReplayResult` → JSON body used by `/v1/replay` and the
+/// Builds the response for a replay cell, shared by `/v1/replay` and the
 /// replay stage of `/v1/tracecmp-cell`.
-fn replay_json(schema: &str, r: &ReplayResult, uop_budget: u64) -> String {
+fn replay_outcome(
+    schema: &str,
+    subject: String,
+    r: &ReplayResult,
+    uop_budget: u64,
+    hit: bool,
+) -> Outcome {
     let mut out = format!("{{\n  \"schema\": \"{schema}\",\n");
     out.push_str(&format!(
         "  \"trace\": \"{}\",\n  \"predictor\": \"{}\",\n  \"uop_budget\": {uop_budget},\n",
@@ -499,28 +475,9 @@ fn replay_json(schema: &str, r: &ReplayResult, uop_budget: u64) -> String {
         ));
     }
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn resolve_replay_cell(
-    state: &ServerState,
-    corpus: &CorpusState,
-    entry: &TraceEntry,
-    predictor: &AnyProphet,
-) -> (ReplayResult, bool) {
-    let key = replay_cell_key(
-        &size_label(predictor),
-        &entry.name,
-        entry.bt_fnv1a,
-        entry.seed,
-        entry.uop_budget,
-    );
-    state.resolve(&key, || {
-        let bt = read_trace_bytes(corpus, entry);
-        let mut p = predictor.clone();
-        replay_bytes(&bt, &mut p, &ReplayConfig::with_budget(entry.uop_budget))
-            .expect("trace passed the startup integrity check")
-    })
+    let mut outcome = Outcome::new(Response::json(200, out), subject, CellCounts::of([hit]));
+    outcome.misp_per_kuops = Some(r.misp_per_kuops());
+    outcome
 }
 
 fn replay_endpoint(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> {
@@ -537,31 +494,21 @@ fn replay_endpoint(state: &ServerState, req: &Request) -> Result<Outcome, HttpEr
     let predictor = find_conventional(predictor_name)?;
     let entry = trace_entry(c, trace)?;
 
-    let (result, hit) = resolve_replay_cell(state, c, entry, &predictor);
-    let cells = CellCounts {
-        hit: u64::from(hit),
-        missed: u64::from(!hit),
-    };
-    let mut outcome = Outcome::new(
-        Response::json(
-            200,
-            replay_json("serve_replay_v1", &result, entry.uop_budget),
-        ),
+    let (result, hit) = state.resolve(replay_cell(
+        &predictor,
+        &entry.name,
+        entry.bt_fnv1a,
+        entry.seed,
+        entry.uop_budget,
+        || read_trace_bytes(c, entry),
+    ));
+    Ok(replay_outcome(
+        "serve_replay_v1",
         format!("{} × {}", size_label(&predictor), entry.name),
-        cells,
-    );
-    outcome.misp_per_kuops = Some(result.misp_per_kuops());
-    Ok(outcome)
-}
-
-/// The cycle-model configuration for a corpus-backed cell: the same
-/// shape `tracecmp` uses (`cycle_cfg`) but at the **recording** budget,
-/// so cells match a tournament run whose `SCALE` produced this corpus.
-fn corpus_cycle_cfg(entry: &TraceEntry, bench: &Benchmark) -> CycleConfig {
-    CycleConfig::isca04()
-        .budget(entry.uop_budget)
-        .seed(bench.seed)
-        .data(suite_data_profile(bench.suite))
+        &result,
+        entry.uop_budget,
+        hit,
+    ))
 }
 
 fn tracecmp_cell(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> {
@@ -596,37 +543,30 @@ fn tracecmp_cell(state: &ServerState, req: &Request) -> Result<Outcome, HttpErro
         let label = size_label(&predictor);
         match stage {
             "replay" => {
-                let (result, hit) = resolve_replay_cell(state, c, entry, &predictor);
-                let cells = CellCounts {
-                    hit: u64::from(hit),
-                    missed: u64::from(!hit),
-                };
-                let mut outcome = Outcome::new(
-                    Response::json(
-                        200,
-                        replay_json("serve_tracecmp_cell_v1", &result, entry.uop_budget),
-                    ),
-                    format!("{label} × {} [replay]", entry.name),
-                    cells,
-                );
-                outcome.misp_per_kuops = Some(result.misp_per_kuops());
-                Ok(outcome)
-            }
-            "cycle" => {
-                let key = trace_cycle_cell_key(
-                    &label,
+                let (result, hit) = state.resolve(replay_cell(
+                    &predictor,
                     &entry.name,
                     entry.bt_fnv1a,
                     entry.seed,
                     entry.uop_budget,
-                );
-                let (result, hit) = state.resolve(&key, || {
-                    let bt = read_trace_bytes(c, entry);
-                    let mut p = predictor.clone();
-                    let mut reader = BtReader::new(bt.as_slice())
-                        .expect("trace passed the startup integrity check");
-                    run_cycles_trace(&mut reader, &mut p, &corpus_cycle_cfg(entry, &bench))
-                });
+                    || read_trace_bytes(c, entry),
+                ));
+                Ok(replay_outcome(
+                    "serve_tracecmp_cell_v1",
+                    format!("{label} × {} [replay]", entry.name),
+                    &result,
+                    entry.uop_budget,
+                    hit,
+                ))
+            }
+            "cycle" => {
+                let (result, hit) = state.resolve(trace_cycle_cell(
+                    &predictor,
+                    &bench,
+                    entry.bt_fnv1a,
+                    entry.uop_budget,
+                    || read_trace_bytes(c, entry),
+                ));
                 cycle_outcome("serve_tracecmp_cell_v1", &label, entry, &result, hit)
             }
             other => Err(HttpError::bad_request(format!(
@@ -637,20 +577,10 @@ fn tracecmp_cell(state: &ServerState, req: &Request) -> Result<Outcome, HttpErro
         let spec = parse_spec(entrant)?;
         match stage {
             "accuracy" => {
-                let key = accuracy_cell_key(&spec, &bench, entry.uop_budget);
-                let (result, hit) = state.resolve(&key, || {
-                    let program = state.program(&bench);
-                    let mut hybrid = spec.build();
-                    run_accuracy(
-                        &program,
-                        &mut hybrid,
-                        &SimConfig::with_budget(entry.uop_budget, bench.seed),
-                    )
-                });
-                let cells = CellCounts {
-                    hit: u64::from(hit),
-                    missed: u64::from(!hit),
-                };
+                let (result, hit) =
+                    state.resolve(accuracy_cell(&spec, &bench, entry.uop_budget, None, || {
+                        state.program(&bench)
+                    }));
                 let body = format!(
                     "{{\n  \"schema\": \"serve_tracecmp_cell_v1\",\n  \"trace\": \"{}\",\n  \
                      \"entrant\": \"{}\",\n  \"uop_budget\": {},\n  \"misp_per_kuops\": {:.4}, \
@@ -665,18 +595,16 @@ fn tracecmp_cell(state: &ServerState, req: &Request) -> Result<Outcome, HttpErro
                 let mut outcome = Outcome::new(
                     Response::json(200, body),
                     format!("{} × {} [accuracy]", spec.label(), entry.name),
-                    cells,
+                    CellCounts::of([hit]),
                 );
                 outcome.misp_per_kuops = Some(result.misp_per_kuops());
                 Ok(outcome)
             }
             "cycle" => {
-                let key = cycle_cell_key(&spec, &bench, entry.uop_budget);
-                let (result, hit) = state.resolve(&key, || {
-                    let program = state.program(&bench);
-                    let mut hybrid = spec.build();
-                    run_cycles(&program, &mut hybrid, &corpus_cycle_cfg(entry, &bench))
-                });
+                let (result, hit) =
+                    state.resolve(cycle_cell(&spec, &bench, entry.uop_budget, || {
+                        state.program(&bench)
+                    }));
                 cycle_outcome("serve_tracecmp_cell_v1", &spec.label(), entry, &result, hit)
             }
             other => Err(HttpError::bad_request(format!(
@@ -694,10 +622,6 @@ fn cycle_outcome(
     result: &CycleResult,
     hit: bool,
 ) -> Result<Outcome, HttpError> {
-    let cells = CellCounts {
-        hit: u64::from(hit),
-        missed: u64::from(!hit),
-    };
     let b = &result.bubbles;
     let body = format!(
         "{{\n  \"schema\": \"{schema}\",\n  \"trace\": \"{}\",\n  \"entrant\": \"{}\",\n  \
@@ -720,7 +644,7 @@ fn cycle_outcome(
     let mut outcome = Outcome::new(
         Response::json(200, body),
         format!("{entrant} × {} [cycle]", entry.name),
-        cells,
+        CellCounts::of([hit]),
     );
     outcome.upc = Some(result.upc());
     outcome.bubbles = Some([
@@ -768,10 +692,11 @@ fn experiment(state: &ServerState, req: &Request) -> Result<Outcome, HttpError> 
         .ok_or_else(|| HttpError::not_found(format!("unknown experiment '{id}'")))?;
 
     // Attribute the experiment's grid cells (which resolve through
-    // `cached()` inside sim, not through `ServerState::resolve`) to this
-    // request by differencing the store's global counters. Concurrent
-    // experiment requests may attribute each other's cells — the totals
-    // stay approximately right and a lone request is exact.
+    // `cached()` inside sim's grids, without `ServerState::resolve`'s
+    // counters) to this request by differencing the store's global
+    // counters. Concurrent experiment requests may attribute each
+    // other's cells — the totals stay approximately right and a lone
+    // request is exact.
     let before = state.env.store.as_ref().map(|s| (s.hits(), s.misses()));
 
     // The report-producing experiments run through their report entry

@@ -5,8 +5,9 @@
 //! looks every answerable unit up by its [`CellKey`] content hash before
 //! computing, and persists fresh results — so identical requests never
 //! recompute, and a store warmed by an `experiments --store` CLI run
-//! answers server requests without simulating (the keys come from the
-//! single definitions in `sim::experiments::common`).
+//! answers server requests without simulating (keys and computations
+//! both come from the single cell definitions in
+//! `sim::experiments::common`).
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -15,6 +16,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use replay::{verify_corpus_report, Manifest, QuarantineEntry};
+use sim::experiments::common::cached;
 use sim::experiments::ExpEnv;
 use sim::store::{CellKey, CellPayload};
 use workloads::{Benchmark, Program};
@@ -73,6 +75,21 @@ pub struct CellCounts {
 }
 
 impl CellCounts {
+    /// The accounting of a set of resolved cells, given whether each was
+    /// a store hit.
+    #[must_use]
+    pub(crate) fn of(hits: impl IntoIterator<Item = bool>) -> Self {
+        let mut counts = Self::default();
+        for hit in hits {
+            if hit {
+                counts.hit += 1;
+            } else {
+                counts.missed += 1;
+            }
+        }
+        counts
+    }
+
     /// The `X-Cache` header value for this request: `hit` when every
     /// cell came from the store, `miss` when none did, `partial` for a
     /// mix, `none` when the request touched no cells.
@@ -146,42 +163,37 @@ impl ServerState {
         Arc::clone(memo.entry(bench.name.clone()).or_insert(fresh))
     }
 
-    /// Resolves one cell: store lookup first, compute-and-persist on a
-    /// miss. Returns the result and whether it was a cache hit, and
-    /// feeds the serving cache counters.
+    /// Resolves one store cell — a key and its computation, from a
+    /// `sim::experiments::common` cell definition — through the store
+    /// ([`cached`]). Returns the result and whether it was a cache hit,
+    /// and feeds the serving cache counters.
     ///
-    /// A panicking `compute` is counted in `cells_failed` and re-thrown
-    /// (the connection handler's `catch_unwind` turns it into a `500`).
-    pub fn resolve<R: CellPayload>(&self, key: &CellKey, compute: impl FnOnce() -> R) -> (R, bool) {
-        if let Some(store) = &self.env.store {
-            if let Some(hit) = store.get::<R>(key) {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return (hit, true);
-            }
-        }
-        let result = match std::panic::catch_unwind(AssertUnwindSafe(compute)) {
-            Ok(r) => r,
-            Err(panic) => {
-                self.metrics.cells_failed.fetch_add(1, Ordering::Relaxed);
-                std::panic::resume_unwind(panic);
-            }
+    /// A panicking computation is counted in `cells_failed` and
+    /// re-thrown (the connection handler's `catch_unwind` turns it into a
+    /// `500`).
+    pub fn resolve<R: CellPayload>(&self, cell: (CellKey, impl FnOnce() -> R)) -> (R, bool) {
+        let (result, hit) =
+            match std::panic::catch_unwind(AssertUnwindSafe(|| cached(&self.env, cell))) {
+                Ok(resolved) => resolved,
+                Err(panic) => {
+                    self.metrics.cells_failed.fetch_add(1, Ordering::Relaxed);
+                    std::panic::resume_unwind(panic);
+                }
+            };
+        let counter = if hit {
+            &self.metrics.cache_hits
+        } else {
+            &self.metrics.cache_misses
         };
-        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &self.env.store {
-            if let Err(e) = store.put(key, &result) {
-                eprintln!(
-                    "warning: cell store write failed for {}: {e}",
-                    key.canonical()
-                );
-            }
-        }
-        (result, false)
+        counter.fetch_add(1, Ordering::Relaxed);
+        (result, hit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::experiments::common::accuracy_cell;
 
     #[test]
     fn x_cache_classifies_all_mixes() {
@@ -213,18 +225,9 @@ mod tests {
         let state = ServerState::new(env, None);
         let bench = workloads::benchmark("gzip").unwrap();
         let spec = prophet_critic::HybridSpec::tuned_headline();
-        let key = sim::experiments::common::accuracy_cell_key(&spec, &bench, 20_000);
-        let compute = || {
-            let program = state.program(&bench);
-            let mut hybrid = spec.build();
-            sim::run_accuracy(
-                &program,
-                &mut hybrid,
-                &sim::SimConfig::with_budget(20_000, bench.seed),
-            )
-        };
-        let (first, hit1) = state.resolve(&key, compute);
-        let (second, hit2) = state.resolve(&key, compute);
+        let cell = || accuracy_cell(&spec, &bench, 20_000, None, || state.program(&bench));
+        let (first, hit1) = state.resolve(cell());
+        let (second, hit2) = state.resolve(cell());
         assert!(!hit1 && hit2);
         assert_eq!(first, second);
         assert_eq!(state.metrics.cache_hits.load(Ordering::Relaxed), 1);

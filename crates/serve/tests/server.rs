@@ -1,6 +1,7 @@
 //! End-to-end tests against a live server on an ephemeral port: cache
-//! semantics (repeat request → store hit, byte-identical body; CLI-warmed
-//! store → served without recomputation), corpus-backed endpoints,
+//! semantics (repeat request → store hit, byte-identical body; a store
+//! warmed by the CLI grids or a `tracecmp` run → every cell kind served
+//! without recomputation), corpus-backed endpoints,
 //! parser robustness (truncation, oversized bodies, bad JSON — 4xx,
 //! never a crash), admission-gate shedding, closed-loop clients that stay
 //! under the gate, requests that never wait on a poll, and graceful
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serve::{ServeConfig, Server, ServerState};
-use sim::experiments::common::run_matrix_checked;
+use sim::experiments::common::{cycle_grid, run_grid, run_matrix};
 use sim::experiments::ExpEnv;
 use sim::json::{self, Json};
 use sim::store::CellStore;
@@ -205,8 +206,7 @@ fn cli_warmed_store_is_served_without_recomputation() {
     let spec = prophet_critic::HybridSpec::tuned_headline();
     let bench = workloads::benchmark("gzip").unwrap();
     let programs = vec![(bench.clone(), bench.program())];
-    let (_, failures) = run_matrix_checked(std::slice::from_ref(&spec), &programs, &warm_env);
-    assert!(failures.is_empty());
+    let _ = run_matrix(std::slice::from_ref(&spec), &programs, &warm_env);
 
     // A fresh server over the same store answers the very first request
     // from cache: /v1/predict defaults to the tuned headline spec.
@@ -220,6 +220,108 @@ fn cli_warmed_store_is_served_without_recomputation() {
         "CLI-warmed store must serve without recomputation"
     );
     assert_eq!(server.state.metrics.cache_misses.load(Ordering::Relaxed), 0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `X-Cache` header of a 200 reply, failing loudly on any error.
+fn x_cache(reply: &Reply) -> &str {
+    assert_eq!(
+        reply.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&reply.body)
+    );
+    reply
+        .header("x-cache")
+        .expect("cell-backed reply carries X-Cache")
+}
+
+#[test]
+fn tracecmp_warmed_store_serves_every_corpus_cell() {
+    let store_dir = temp_dir("tracecmp-store");
+    let corpus_dir = temp_dir("tracecmp-corpus");
+    let env = tiny_env();
+
+    // Warm the store with a whole tournament, and record a corpus at the
+    // same budget: its manifest checksums are the tournament's.
+    let warm_env = env
+        .clone()
+        .with_store(Arc::new(CellStore::open(&store_dir).unwrap()));
+    let _ = sim::experiments::tracecmp::run_with_report(&warm_env);
+    let bench = workloads::benchmark("gzip").unwrap();
+    replay::record_corpus(&corpus_dir, std::slice::from_ref(&bench), env.uop_budget()).unwrap();
+
+    let mut config =
+        ServeConfig::ephemeral(env.with_store(Arc::new(CellStore::open(&store_dir).unwrap())));
+    config.corpus = Some(corpus_dir.clone());
+    let server = TestServer::start(config);
+
+    let hybrid = "{\"prophet\": \"gshare\", \"prophet_budget\": \"8KB\", \
+                  \"critic\": \"t.gshare\", \"critic_budget\": \"8KB\"}";
+    let requests = [
+        (
+            "/v1/replay",
+            "{\"predictor\": \"gshare\", \"trace\": \"gzip\"}".to_string(),
+        ),
+        (
+            "/v1/tracecmp-cell",
+            "{\"trace\": \"gzip\", \"stage\": \"replay\", \"entrant\": \"gshare\"}".to_string(),
+        ),
+        (
+            "/v1/tracecmp-cell",
+            "{\"trace\": \"gzip\", \"stage\": \"cycle\", \"entrant\": \"gshare\"}".to_string(),
+        ),
+        (
+            "/v1/tracecmp-cell",
+            format!("{{\"trace\": \"gzip\", \"stage\": \"accuracy\", \"entrant\": {hybrid}}}"),
+        ),
+        (
+            "/v1/tracecmp-cell",
+            format!("{{\"trace\": \"gzip\", \"stage\": \"cycle\", \"entrant\": {hybrid}}}"),
+        ),
+    ];
+    for (path, body) in &requests {
+        let reply = post(server.addr, path, body);
+        assert_eq!(x_cache(&reply), "hit", "{path} {body}");
+    }
+    let metrics = &server.state.metrics;
+    assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 5);
+    assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&store_dir).ok();
+    std::fs::remove_dir_all(&corpus_dir).ok();
+}
+
+#[test]
+fn grid_warmed_store_serves_predict_with_cycle_cells() {
+    let dir = temp_dir("grid-warm");
+    let env = tiny_env();
+
+    // The headline's two grids: accuracy (run_grid) and cycle.
+    let warm_env = env
+        .clone()
+        .with_store(Arc::new(CellStore::open(&dir).unwrap()));
+    let spec = prophet_critic::HybridSpec::tuned_headline();
+    let programs = warm_env.named_programs(&["swim", "tpcc"]);
+    let benches: Vec<_> = programs.iter().map(|(b, _)| b.clone()).collect();
+    let _ = run_grid(std::slice::from_ref(&spec), &programs, &warm_env);
+    let _ = cycle_grid(&warm_env, std::slice::from_ref(&spec), &benches);
+
+    let serve_env = env.with_store(Arc::new(CellStore::open(&dir).unwrap()));
+    let server = TestServer::start(ServeConfig::ephemeral(serve_env));
+    let reply = post(
+        server.addr,
+        "/v1/predict",
+        "{\"benchmarks\": [\"swim\", \"tpcc\"], \"cycle\": true}",
+    );
+    assert_eq!(x_cache(&reply), "hit");
+    assert!(reply.json().get("cycle").is_some());
+    let metrics = &server.state.metrics;
+    assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 4);
+    assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

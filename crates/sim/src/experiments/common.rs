@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: scaling, benchmark selection, and the
-//! parallel grid entry points.
+//! Shared experiment plumbing: scaling, benchmark selection, the store
+//! cells and the parallel grid entry points.
 //!
 //! Every experiment reduces to a grid of independent cells — one
 //! `(HybridSpec, Benchmark)` pair per cell — so the module exposes the
@@ -9,7 +9,7 @@
 //!   returning the per-cell results in input order;
 //! * [`run_grid`] — the same, pooled per spec (the paper's usual
 //!   aggregate);
-//! * [`pooled_accuracy`] — one spec over a set of programs, pooled.
+//! * [`cycle_grid`] — every spec × benchmark cell on the cycle model.
 //!
 //! Parallel execution is deterministic: cells are distributed dynamically
 //! but results are collected by input index, and each cell's simulation is
@@ -17,26 +17,41 @@
 //! to the sequential path ([`pooled_accuracy_seq`] is kept as the
 //! reference and the determinism tests compare against it).
 //!
+//! **Store cells.** Each kind of cell the store holds is defined once,
+//! here: [`accuracy_cell`], [`cycle_cell`], [`replay_cell`] and
+//! [`trace_cycle_cell`] each return the cell's [`CellKey`] and its
+//! computation, built from the same arguments. The computation's inputs
+//! are derived inside the definition from the key's — the seed from the
+//! benchmark, the warm-up from the budget, the Table 2 machine and the
+//! suite's data profile from benchmark and budget — so the figure grids,
+//! `tracecmp`, `tune` and `serve` can never file two different
+//! computations under one key. The program or trace bytes come in
+//! lazily: a store hit synthesizes no program and reads no trace.
+//!
 //! Two robustness layers sit underneath (both inert by default):
 //!
 //! * **Checkpoint/resume.** When [`ExpEnv::store`] holds a
-//!   [`CellStore`], every grid cell is looked up by content hash before
-//!   simulating and persisted after — so a rerun of a killed grid only
-//!   recomputes missing cells (see `sim::store`).
-//! * **Panic isolation.** The `*_checked` grid variants route through
-//!   [`try_par_map`]: a panicking cell becomes a recorded
-//!   [`CellFailure`] while the rest of the grid completes. The plain
-//!   variants keep the all-or-nothing contract but now name the cell
-//!   that died. [`ExpEnv::fault`] injects scheduled panics for tests.
+//!   [`CellStore`], every cell goes through [`cached`]: it is looked up by
+//!   content hash before simulating and persisted after — so a rerun of a
+//!   killed grid only recomputes missing cells (see `sim::store`).
+//! * **Panic isolation.** Every grid routes through [`try_par_map`], so
+//!   a panicking cell is caught as a [`CellFailure`]. The grids here are
+//!   all-or-nothing: they finish the other cells, then abort with a
+//!   message naming the first cell that died. Experiments that must
+//!   survive failed cells (`tracecmp`, `h2p`) keep the failures and
+//!   report them. [`ExpEnv::fault`] injects scheduled panics for tests.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use prophet_critic::HybridSpec;
-use replay::FaultPlan;
+use bptrace::BtReader;
+use prophet_critic::{AnyProphet, HybridSpec};
+use replay::{replay_bytes, FaultPlan, ReplayConfig, ReplayResult};
 use workloads::{all_benchmarks, Benchmark, Program, Suite};
 
 use crate::accuracy::{run_accuracy, SimConfig};
-use crate::cycle::{run_cycles, CycleConfig, CycleResult};
+use crate::cycle::{run_cycles, run_cycles_trace, CycleConfig, CycleResult};
+use crate::experiments::tracecmp::size_label;
 use crate::metrics::AccuracyResult;
 use crate::runner::{default_threads, par_map, try_par_map, CellFailure};
 use crate::store::{CellKey, CellPayload, CellStore};
@@ -267,37 +282,38 @@ impl ExpEnv {
     }
 }
 
-/// Runs `compute` through the environment's cell store, if any: a valid
-/// stored record short-circuits the simulation; a fresh result is
-/// persisted (atomically) for the next run. Storeless environments just
-/// compute.
+/// Resolves one store cell — a key and its computation, as the cell
+/// definitions below return them — through the environment's cell store,
+/// if any: a valid stored record short-circuits the computation; a fresh
+/// result is persisted (atomically) for the next run. Storeless
+/// environments just compute. Returns the result and whether it came from
+/// the store.
 ///
 /// A failed store *write* only warns — losing one checkpoint must not
 /// kill a healthy grid.
-pub fn cached<R: CellPayload>(env: &ExpEnv, key: &CellKey, compute: impl FnOnce() -> R) -> R {
+pub fn cached<R: CellPayload>(
+    env: &ExpEnv,
+    (key, compute): (CellKey, impl FnOnce() -> R),
+) -> (R, bool) {
     let Some(store) = &env.store else {
-        return compute();
+        return (compute(), false);
     };
-    if let Some(hit) = store.get::<R>(key) {
-        return hit;
+    if let Some(hit) = store.get::<R>(&key) {
+        return (hit, true);
     }
     let result = compute();
-    if let Err(e) = store.put(key, &result) {
+    if let Err(e) = store.put(&key, &result) {
         eprintln!(
             "warning: cell store write failed for {}: {e}",
             key.canonical()
         );
     }
-    result
+    (result, false)
 }
 
-/// The store key for one execution-driven **accuracy** cell
-/// (`spec × benchmark` at a uop budget).
-///
-/// This is the single definition shared by the figure grids
-/// ([`run_matrix_checked`]), the `tracecmp` snapshot-execution stage and
-/// the `serve` subsystem — so a store warmed by any of them answers the
-/// others without recomputation.
+/// The store key of an execution-driven **accuracy** cell (`spec ×
+/// benchmark` at a uop budget, standard 20 % warm-up); [`accuracy_cell`]
+/// files its cells under it.
 #[must_use]
 pub fn accuracy_cell_key(spec: &HybridSpec, bench: &Benchmark, budget: u64) -> CellKey {
     CellKey::new(
@@ -308,9 +324,8 @@ pub fn accuracy_cell_key(spec: &HybridSpec, bench: &Benchmark, budget: u64) -> C
     )
 }
 
-/// The store key for one execution-driven **cycle** cell — the shared
-/// definition for [`cycle_grid_checked`], `tracecmp`'s hybrid timing
-/// stage and `serve` (same contract as [`accuracy_cell_key`]).
+/// The store key of an execution-driven **cycle** cell; [`cycle_cell`]
+/// files its cells under it.
 #[must_use]
 pub fn cycle_cell_key(spec: &HybridSpec, bench: &Benchmark, budget: u64) -> CellKey {
     CellKey::new(
@@ -321,21 +336,13 @@ pub fn cycle_cell_key(spec: &HybridSpec, bench: &Benchmark, budget: u64) -> Cell
     )
 }
 
-/// The store key for one conventional-predictor **trace replay** cell.
-///
-/// The cell string carries the `.bt` content checksum (the manifest's
+/// The store key of a conventional-predictor **trace replay** cell. The
+/// cell string carries the `.bt` content checksum (the manifest's
 /// `bt_fnv1a` for an on-disk corpus; `fnv1a` of the in-memory bytes for
 /// `tracecmp`'s recorded corpus — identical values for the same
 /// seed/budget), so a corrupted or re-recorded trace can never resolve
 /// to a stale result.
-#[must_use]
-pub fn replay_cell_key(
-    predictor: &str,
-    trace: &str,
-    bt_fnv1a: u64,
-    seed: u64,
-    budget: u64,
-) -> CellKey {
+fn replay_cell_key(predictor: &str, trace: &str, bt_fnv1a: u64, seed: u64, budget: u64) -> CellKey {
     CellKey::new(
         "replay",
         &format!("{predictor} × {trace} bt={bt_fnv1a:#018x}"),
@@ -344,11 +351,9 @@ pub fn replay_cell_key(
     )
 }
 
-/// The store key for one conventional-predictor **trace-fed cycle**
-/// cell (the tournament's uPC column); checksummed like
-/// [`replay_cell_key`].
-#[must_use]
-pub fn trace_cycle_cell_key(
+/// The store key of a conventional-predictor **trace-fed cycle** cell
+/// (the tournament's uPC column); checksummed like [`replay_cell_key`].
+fn trace_cycle_cell_key(
     predictor: &str,
     trace: &str,
     bt_fnv1a: u64,
@@ -363,17 +368,10 @@ pub fn trace_cycle_cell_key(
     )
 }
 
-/// The store key for one `tune` scoring cell: an accuracy cell measured
-/// under a non-standard warm-up fraction. At the workspace-standard 20 %
-/// warm-up this **is** [`accuracy_cell_key`], so tune shares cells with
-/// the figure grids; other warm-ups get their own keyspace.
-#[must_use]
-pub fn tune_cell_key(
-    spec: &HybridSpec,
-    bench: &Benchmark,
-    budget: u64,
-    warmup_uops: u64,
-) -> CellKey {
+/// The store key of an accuracy cell under any warm-up: at the standard
+/// 20 % warm-up this **is** [`accuracy_cell_key`], so `tune` shares cells
+/// with the figure grids; other warm-ups get their own keyspace.
+fn tune_cell_key(spec: &HybridSpec, bench: &Benchmark, budget: u64, warmup_uops: u64) -> CellKey {
     if warmup_uops == budget / 5 {
         return accuracy_cell_key(spec, bench, budget);
     }
@@ -385,7 +383,105 @@ pub fn tune_cell_key(
     )
 }
 
-fn abort_on_failures(what: &str, failures: &[CellFailure]) {
+/// One execution-driven **accuracy** cell: `spec` on `bench`'s program
+/// for `budget` committed uops, seeded by the benchmark, after the
+/// standard 20 % warm-up — or `warmup_uops` of them when given (`tune`'s
+/// scenarios).
+///
+/// `program` yields the benchmark's program (or one proven identical to
+/// it, such as a snapshot's) and is called only when the cell computes.
+pub fn accuracy_cell<P: Borrow<Program>>(
+    spec: &HybridSpec,
+    bench: &Benchmark,
+    budget: u64,
+    warmup_uops: Option<u64>,
+    program: impl FnOnce() -> P,
+) -> (CellKey, impl FnOnce() -> AccuracyResult) {
+    let mut config = SimConfig::with_budget(budget, bench.seed);
+    if let Some(warmup_uops) = warmup_uops {
+        config.warmup_uops = warmup_uops;
+    }
+    let key = tune_cell_key(spec, bench, budget, config.warmup_uops);
+    let spec = *spec;
+    (key, move || {
+        let mut hybrid = spec.build();
+        run_accuracy(program().borrow(), &mut hybrid, &config)
+    })
+}
+
+/// One execution-driven **cycle** cell: `spec` on `bench`'s program on
+/// the Table 2 machine with the suite's data profile ([`cycle_cfg`]), for
+/// `budget` committed uops. `program` is called only when the cell
+/// computes.
+pub fn cycle_cell<P: Borrow<Program>>(
+    spec: &HybridSpec,
+    bench: &Benchmark,
+    budget: u64,
+    program: impl FnOnce() -> P,
+) -> (CellKey, impl FnOnce() -> CycleResult) {
+    let key = cycle_cell_key(spec, bench, budget);
+    let config = table2_cfg(bench, budget);
+    let spec = *spec;
+    (key, move || {
+        let mut hybrid = spec.build();
+        run_cycles(program().borrow(), &mut hybrid, &config)
+    })
+}
+
+/// One conventional-predictor **trace replay** cell: `predictor` over
+/// the `.bt` trace named `trace`, recorded at `seed` for `budget` uops
+/// with content checksum `bt_fnv1a`, after the standard 20 % warm-up.
+/// `bt` yields the trace's bytes and is called only when the cell
+/// computes; the computation panics if they do not decode, so callers
+/// verify traces first.
+pub fn replay_cell<'a, B: AsRef<[u8]>>(
+    predictor: &'a AnyProphet,
+    trace: &str,
+    bt_fnv1a: u64,
+    seed: u64,
+    budget: u64,
+    bt: impl FnOnce() -> B + 'a,
+) -> (CellKey, impl FnOnce() -> ReplayResult + 'a) {
+    let key = replay_cell_key(&size_label(predictor), trace, bt_fnv1a, seed, budget);
+    (key, move || {
+        replay_bytes(
+            bt().as_ref(),
+            &mut predictor.clone(),
+            &ReplayConfig::with_budget(budget),
+        )
+        .expect("trace passed the integrity check")
+    })
+}
+
+/// One conventional-predictor **trace-fed cycle** cell: `predictor` fed
+/// from `bench`'s `.bt` trace (checksum `bt_fnv1a`, recorded at the
+/// benchmark's seed for `budget` uops) on the same machine as
+/// [`cycle_cell`]. `bt` is called only when the cell computes; the
+/// computation panics if the bytes do not decode.
+pub fn trace_cycle_cell<'a, B: AsRef<[u8]>>(
+    predictor: &'a AnyProphet,
+    bench: &Benchmark,
+    bt_fnv1a: u64,
+    budget: u64,
+    bt: impl FnOnce() -> B + 'a,
+) -> (CellKey, impl FnOnce() -> CycleResult + 'a) {
+    let key = trace_cycle_cell_key(
+        &size_label(predictor),
+        &bench.name,
+        bt_fnv1a,
+        bench.seed,
+        budget,
+    );
+    let config = table2_cfg(bench, budget);
+    (key, move || {
+        let bytes = bt();
+        let mut reader = BtReader::new(bytes.as_ref()).expect("trace passed the integrity check");
+        run_cycles_trace(&mut reader, &mut predictor.clone(), &config)
+    })
+}
+
+/// Panics naming the first failed cell of an all-or-nothing grid.
+pub(crate) fn abort_on_failures(what: &str, failures: &[CellFailure]) {
     if let Some(first) = failures.first() {
         panic!(
             "{} of the {what} grid's cells failed; first failure: {first}",
@@ -394,27 +490,24 @@ fn abort_on_failures(what: &str, failures: &[CellFailure]) {
     }
 }
 
-fn into_rows<R>(flat: Vec<Option<R>>, rows: usize, cols: usize) -> Vec<Vec<Option<R>>> {
-    let mut out: Vec<Vec<Option<R>>> = Vec::with_capacity(rows);
-    let mut it = flat.into_iter();
-    for _ in 0..rows {
-        out.push(it.by_ref().take(cols).collect());
-    }
-    out
-}
-
-/// The fault-isolating form of [`run_matrix`]: simulates every
-/// `spec × program` cell in parallel, resolving cells through the
-/// environment's store and catching per-cell panics. Returns the grid as
-/// `[spec index][program index]` (`None` marks a failed cell) plus the
-/// failures, sorted by cell index — both deterministic for any thread
-/// count.
+/// Simulates every `spec × program` cell of the grid in parallel and
+/// returns the results as `[spec index][program index]`, in input order.
+///
+/// This is the engine behind the accuracy figures: a whole experiment's
+/// spec list goes in at once so the fan-out covers the full grid rather
+/// than one row at a time. Cells resolve through the environment's cell
+/// store when one is configured.
+///
+/// # Panics
+///
+/// If any cell panics, once the other cells have finished, with a message
+/// naming the first failed cell (spec × benchmark).
 #[must_use]
-pub fn run_matrix_checked(
+pub fn run_matrix(
     specs: &[HybridSpec],
     programs: &[(Benchmark, Program)],
     env: &ExpEnv,
-) -> (Vec<Vec<Option<AccuracyResult>>>, Vec<CellFailure>) {
+) -> Vec<Vec<AccuracyResult>> {
     let cells: Vec<(usize, usize)> = (0..specs.len())
         .flat_map(|s| (0..programs.len()).map(move |p| (s, p)))
         .collect();
@@ -424,38 +517,21 @@ pub fn run_matrix_checked(
     let (flat, failures) = try_par_map(&cells, env.threads, label, |i, &(s, p)| {
         let (bench, program) = &programs[p];
         env.fault.panic_if_scheduled(&label(i, &(s, p)));
-        let key = accuracy_cell_key(&specs[s], bench, env.uop_budget());
-        cached(env, &key, || {
-            let mut hybrid = specs[s].build();
-            run_accuracy(program, &mut hybrid, &env.sim_config(bench.seed))
-        })
+        cached(
+            env,
+            accuracy_cell(&specs[s], bench, env.uop_budget(), None, || program),
+        )
+        .0
     });
-    (into_rows(flat, specs.len(), programs.len()), failures)
+    abort_on_failures("accuracy", &failures);
+    into_rows(flat, specs.len(), programs.len())
 }
 
-/// Simulates every `spec × program` cell of the grid in parallel and
-/// returns the results as `[spec index][program index]`, in input order.
-///
-/// This is the engine behind every figure module: a whole experiment's
-/// spec list goes in at once so the fan-out covers the full grid rather
-/// than one row at a time. Cells resolve through the environment's cell
-/// store when one is configured.
-///
-/// # Panics
-///
-/// If any cell panics, with a message naming the failed cell
-/// (spec × benchmark) and its worker. Callers that must survive failed
-/// cells use [`run_matrix_checked`].
-#[must_use]
-pub fn run_matrix(
-    specs: &[HybridSpec],
-    programs: &[(Benchmark, Program)],
-    env: &ExpEnv,
-) -> Vec<Vec<AccuracyResult>> {
-    let (rows, failures) = run_matrix_checked(specs, programs, env);
-    abort_on_failures("accuracy", &failures);
-    rows.into_iter()
-        .map(|row| row.into_iter().map(Option::unwrap).collect())
+/// Splits a flat, failure-free grid into `rows` rows of `cols` results.
+fn into_rows<R>(flat: Vec<Option<R>>, rows: usize, cols: usize) -> Vec<Vec<R>> {
+    let mut it = flat.into_iter().map(Option::unwrap);
+    (0..rows)
+        .map(|_| it.by_ref().take(cols).collect())
         .collect()
 }
 
@@ -474,34 +550,9 @@ pub fn run_grid(
         .collect()
 }
 
-/// Runs `spec` over a set of programs on the parallel engine and pools the
-/// results.
-#[must_use]
-pub fn pooled_accuracy(
-    spec: &HybridSpec,
-    programs: &[(Benchmark, Program)],
-    env: &ExpEnv,
-) -> AccuracyResult {
-    run_grid(std::slice::from_ref(spec), programs, env)
-        .pop()
-        .expect("one spec in, one pooled result out")
-}
-
-/// [`pooled_accuracy`] with an explicit worker count.
-#[must_use]
-pub fn pooled_accuracy_par(
-    spec: &HybridSpec,
-    programs: &[(Benchmark, Program)],
-    env: &ExpEnv,
-    threads: usize,
-) -> AccuracyResult {
-    pooled_accuracy(spec, programs, &env.clone().with_threads(threads))
-}
-
-/// The strictly sequential reference implementation of
-/// [`pooled_accuracy`]: a plain loop, no worker threads, no shared state.
-/// The determinism tests assert the parallel engine matches it
-/// bit-for-bit.
+/// The strictly sequential reference implementation of one [`run_grid`]
+/// row: a plain loop, no worker threads, no shared state, no store. The
+/// determinism tests assert the parallel engine matches it bit-for-bit.
 #[must_use]
 pub fn pooled_accuracy_seq(
     spec: &HybridSpec,
@@ -528,25 +579,40 @@ pub fn representatives() -> Vec<Benchmark> {
         .collect()
 }
 
-/// The cycle-model configuration for one benchmark under this
-/// environment (suite-specific data character, shared uop budget).
-#[must_use]
-pub fn cycle_cfg(env: &ExpEnv, bench: &Benchmark) -> CycleConfig {
+/// The Table 2 machine for one benchmark at a uop budget: the
+/// benchmark's seed and its suite's data character.
+fn table2_cfg(bench: &Benchmark, budget: u64) -> CycleConfig {
     CycleConfig::isca04()
-        .budget(env.uop_budget())
+        .budget(budget)
         .seed(bench.seed)
         .data(crate::experiments::upc::suite_data_profile(bench.suite))
 }
 
-/// The fault-isolating form of [`cycle_grid`]: same grid, cells resolve
-/// through the environment's store, per-cell panics become recorded
-/// [`CellFailure`]s (`None` in the grid).
+/// The cycle-model configuration for one benchmark under this
+/// environment (suite-specific data character, shared uop budget) — the
+/// one [`cycle_cell`] and [`trace_cycle_cell`] run at this budget.
 #[must_use]
-pub fn cycle_grid_checked(
+pub fn cycle_cfg(env: &ExpEnv, bench: &Benchmark) -> CycleConfig {
+    table2_cfg(bench, env.uop_budget())
+}
+
+/// Runs every `spec × bench` cycle-model cell on the parallel engine and
+/// returns the results as `[spec index][bench index]`, in input order.
+/// Programs are synthesized once per benchmark and shared across spec
+/// cells; cells resolve through the environment's cell store. (The `upc`
+/// and `headline` experiments share this grid; the determinism tests pin
+/// it parallel == sequential.)
+///
+/// # Panics
+///
+/// If any cell panics, once the other cells have finished, with a message
+/// naming the first failed cell.
+#[must_use]
+pub fn cycle_grid(
     env: &ExpEnv,
     specs: &[HybridSpec],
     benches: &[Benchmark],
-) -> (Vec<Vec<Option<CycleResult>>>, Vec<CellFailure>) {
+) -> Vec<Vec<CycleResult>> {
     let programs: Vec<_> = par_map(benches, env.threads, |_, b| b.program());
     let cells: Vec<(usize, usize)> = (0..specs.len())
         .flat_map(|s| (0..benches.len()).map(move |b| (s, b)))
@@ -556,43 +622,18 @@ pub fn cycle_grid_checked(
     };
     let (flat, failures) = try_par_map(&cells, env.threads, label, |i, &(s, b)| {
         env.fault.panic_if_scheduled(&label(i, &(s, b)));
-        let bench = &benches[b];
-        let key = cycle_cell_key(&specs[s], bench, env.uop_budget());
-        cached(env, &key, || {
-            let mut hybrid = specs[s].build();
-            run_cycles(&programs[b], &mut hybrid, &cycle_cfg(env, bench))
-        })
+        let cell = cycle_cell(&specs[s], &benches[b], env.uop_budget(), || &programs[b]);
+        cached(env, cell).0
     });
-    (into_rows(flat, specs.len(), benches.len()), failures)
-}
-
-/// Runs every `spec × bench` cycle-model cell on the parallel engine and
-/// returns the results as `[spec index][bench index]`, in input order.
-/// Programs are synthesized once per benchmark and shared across spec
-/// cells. (The `upc` and `headline` experiments share this grid; the
-/// determinism tests pin it parallel == sequential.)
-///
-/// # Panics
-///
-/// If any cell panics, naming the failed cell; see [`cycle_grid_checked`]
-/// for the tolerant form.
-#[must_use]
-pub fn cycle_grid(
-    env: &ExpEnv,
-    specs: &[HybridSpec],
-    benches: &[Benchmark],
-) -> Vec<Vec<CycleResult>> {
-    let (rows, failures) = cycle_grid_checked(env, specs, benches);
     abort_on_failures("cycle", &failures);
-    rows.into_iter()
-        .map(|row| row.into_iter().map(Option::unwrap).collect())
-        .collect()
+    into_rows(flat, specs.len(), benches.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prophet_critic::{Budget, CriticKind, ProphetKind};
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn tiny_env_budget_is_bounded() {
@@ -653,9 +694,41 @@ mod tests {
         let env = ExpEnv::tiny();
         let programs = env.named_programs(&["gzip"]);
         let spec = HybridSpec::alone(ProphetKind::Gshare, Budget::K8);
-        let r = pooled_accuracy(&spec, &programs, &env);
+        let [r] = run_grid(&[spec], &programs, &env)
+            .try_into()
+            .expect("one pooled result per spec");
         assert!(r.committed_uops > 0);
         assert!(r.misp_per_kuops() > 0.0);
+    }
+
+    #[test]
+    fn grids_abort_naming_the_failed_cell() {
+        let env = ExpEnv {
+            scale: 0.02,
+            ..ExpEnv::tiny()
+        }
+        .with_fault(FaultPlan::from_spec("panic=\u{d7} art").unwrap());
+        let programs = env.named_programs(&["gzip", "art"]);
+        let benches: Vec<Benchmark> = programs.iter().map(|(b, _)| b.clone()).collect();
+        let specs = [HybridSpec::alone(ProphetKind::Gshare, Budget::K4)];
+        let label = format!("{} \u{d7} art", specs[0].label());
+        let aborts = [
+            (
+                std::panic::catch_unwind(AssertUnwindSafe(|| run_matrix(&specs, &programs, &env)))
+                    .err(),
+                format!("of the accuracy grid's cells failed; first failure: cell #1 '{label}'"),
+            ),
+            (
+                std::panic::catch_unwind(AssertUnwindSafe(|| cycle_grid(&env, &specs, &benches)))
+                    .err(),
+                format!("of the cycle grid's cells failed; first failure: cell #1 'cycle {label}'"),
+            ),
+        ];
+        for (payload, want) in aborts {
+            let payload = payload.expect("a failed cell aborts the grid");
+            let message = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains(&want), "{message}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use replay::{record_trace, replay_bytes, ReplayConfig};
 use workloads::{Benchmark, Program};
 
 use crate::accuracy::run_accuracy_observed;
-use crate::experiments::common::{cached, ExpEnv};
+use crate::experiments::common::{abort_on_failures, cached, ExpEnv};
 use crate::runner::{try_par_map, CellFailure};
 use crate::store::{CellKey, CellPayload};
 use crate::table::{f2, pct, Table};
@@ -128,9 +128,11 @@ pub fn h2p_benches_checked(env: &ExpEnv) -> (Vec<Option<H2pBench>>, Vec<CellFail
             bench.seed,
             budget,
         );
-        cached(env, &key, || {
-            h2p_one_bench(env, bench, program, &spec, budget)
-        })
+        cached(
+            env,
+            (key, || h2p_one_bench(env, bench, program, &spec, budget)),
+        )
+        .0
     })
 }
 
@@ -143,12 +145,7 @@ pub fn h2p_benches_checked(env: &ExpEnv) -> (Vec<Option<H2pBench>>, Vec<CellFail
 #[must_use]
 pub fn h2p_benches(env: &ExpEnv) -> Vec<H2pBench> {
     let (cells, failures) = h2p_benches_checked(env);
-    if let Some(first) = failures.first() {
-        panic!(
-            "{} of the h2p grid's cells failed; first failure: {first}",
-            failures.len()
-        );
-    }
+    abort_on_failures("h2p", &failures);
     cells.into_iter().map(Option::unwrap).collect()
 }
 

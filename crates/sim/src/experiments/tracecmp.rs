@@ -20,7 +20,7 @@
 //! 5. **times** every entrant on the stage-accurate pipeline engine —
 //!    conventionals through [`TraceModel`](crate::cycle::TraceModel)
 //!    over the recorded `.bt` stream, hybrids through the execution-driven
-//!    [`run_cycles`] on the snapshot program —
+//!    [`run_cycles`](crate::run_cycles) on the snapshot program —
 //!    giving the tournament a uPC column;
 //! 6. emits a ranked misp/Kuops + uPC report plus a per-trace H2P
 //!    summary, and (from the `run` entry point) writes
@@ -41,29 +41,29 @@
 //! counts, and [`ExpEnv::fault`] can inject corruptions/panics to prove
 //! it (`crates/sim/tests/faultinject.rs`).
 //!
-//! **Checkpoint/resume.** Every tournament cell resolves through the
-//! environment's cell store when one is configured (`--store`/`--resume`):
-//! hybrid cells under the same keys as the figure grids, trace-coupled
-//! cells under keys carrying the trace's `bt_fnv1a` content checksum —
-//! the same values a corpus manifest records, so the `serve` subsystem
-//! answers `tracecmp-cell` requests from the identical cache.
+//! **Checkpoint/resume.** Every tournament cell is one of the store cells
+//! defined in [`common`](crate::experiments::common) and resolves through
+//! the environment's cell store when one is configured
+//! (`--store`/`--resume`): hybrid cells are the figure grids'
+//! [`accuracy_cell`] and [`cycle_cell`], run on the snapshot's program;
+//! conventional cells are [`replay_cell`] and [`trace_cycle_cell`], whose
+//! keys carry the trace's `bt_fnv1a` content checksum — the value a
+//! corpus manifest records for the same seed and budget, so the `serve`
+//! subsystem answers `/v1/replay` and `/v1/tracecmp-cell` from the same
+//! cells.
 
 use bptrace::{BtReader, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use predictors::configs::{self, Budget};
 use predictors::{Bimodal, DirectionPredictor, GAs, Local, Yags};
 use prophet_critic::{AnyProphet, CriticKind, HybridSpec, ProphetKind};
-use replay::{
-    cross_check_snapshot, record_trace, replay_bytes, QuarantineEntry, ReplayConfig, ReplayResult,
-};
+use replay::{cross_check_snapshot, record_trace, QuarantineEntry, ReplayResult};
 use workloads::{Benchmark, Snapshot};
 
 use replay::checksum::fnv1a;
 
-use crate::accuracy::run_accuracy;
-use crate::cycle::{run_cycles, run_cycles_trace, CycleResult};
+use crate::cycle::CycleResult;
 use crate::experiments::common::{
-    accuracy_cell_key, cached, cycle_cell_key, cycle_cfg, replay_cell_key, trace_cycle_cell_key,
-    ExpEnv,
+    accuracy_cell, cached, cycle_cell, replay_cell, trace_cycle_cell, ExpEnv,
 };
 use crate::json::escape;
 use crate::metrics::AccuracyResult;
@@ -128,9 +128,8 @@ pub fn hybrid_lineup() -> Vec<HybridSpec> {
 }
 
 /// The tournament's display label for a conventional entrant
-/// (`"16KB gshare"`). Public because trace-coupled store keys embed it:
-/// the `serve` subsystem must build byte-identical labels to share cells
-/// with a `--store` tournament run.
+/// (`"16KB gshare"`). Trace-coupled store keys embed it, and the `serve`
+/// subsystem names entrants by it.
 #[must_use]
 pub fn size_label(p: &AnyProphet) -> String {
     format!("{}KB {}", p.storage_bytes().div_ceil(1024), p.name())
@@ -166,6 +165,13 @@ fn check_trace(t: &RecordedTrace) -> Result<(), String> {
     Ok(())
 }
 
+/// The program a recorded trace's snapshot holds.
+fn snapshot_program(t: &RecordedTrace) -> workloads::Program {
+    Snapshot::read_from(t.pcl.as_slice())
+        .expect("snapshot round-trips")
+        .program
+}
+
 /// One ranked tournament row.
 struct Entrant {
     label: String,
@@ -194,7 +200,6 @@ fn pooled_upc(row: &[Option<CycleResult>]) -> f64 {
 pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
     let programs = env.programs();
     let budget = env.uop_budget();
-    let replay_cfg = ReplayConfig::with_budget(budget);
 
     // ---- 1. Record the corpus, one cell per benchmark. The fault plan
     // corrupts targeted traces *after* recording, exactly as bit rot or a
@@ -253,18 +258,15 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         try_par_map(&conv_cells, env.threads, conv_label, |i, &(p, t)| {
             env.fault.panic_if_scheduled(&conv_label(i, &(p, t)));
             let rec = &recorded[t];
-            let key = replay_cell_key(
-                &size_label(&lineup[p]),
+            let cell = replay_cell(
+                &lineup[p],
                 &rec.bench.name,
                 rec.bt_fnv1a,
                 rec.bench.seed,
                 budget,
+                || &rec.bt,
             );
-            cached(env, &key, || {
-                let mut predictor = lineup[p].clone();
-                replay_bytes(&rec.bt, &mut predictor, &replay_cfg)
-                    .expect("trace passed the integrity gate")
-            })
+            cached(env, cell).0
         });
     failures.extend(fails);
 
@@ -279,16 +281,14 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
     let (hyb, fails): (Vec<Option<AccuracyResult>>, _) =
         try_par_map(&hyb_cells, env.threads, hyb_label, |i, &(s, t)| {
             env.fault.panic_if_scheduled(&hyb_label(i, &(s, t)));
-            // Same key as the figure grids: the snapshot execution is the
-            // benchmark program at the benchmark seed, which the
-            // cross-check gate proves.
-            let key = accuracy_cell_key(&hybrids[s], &recorded[t].bench, budget);
-            cached(env, &key, || {
-                let snap =
-                    Snapshot::read_from(recorded[t].pcl.as_slice()).expect("snapshot round-trips");
-                let mut hybrid = hybrids[s].build();
-                run_accuracy(&snap.program, &mut hybrid, &env.sim_config(snap.seed))
-            })
+            // The figure grids' cell: the snapshot holds the benchmark
+            // program at the benchmark seed, which the cross-check gate
+            // proves.
+            let rec = &recorded[t];
+            let cell = accuracy_cell(&hybrids[s], &rec.bench, budget, None, || {
+                snapshot_program(rec)
+            });
+            cached(env, cell).0
         });
     failures.extend(fails);
 
@@ -305,19 +305,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         try_par_map(&conv_cells, env.threads, conv_cycle_label, |i, &(p, t)| {
             env.fault.panic_if_scheduled(&conv_cycle_label(i, &(p, t)));
             let rec = &recorded[t];
-            let key = trace_cycle_cell_key(
-                &size_label(&lineup[p]),
-                &rec.bench.name,
-                rec.bt_fnv1a,
-                rec.bench.seed,
-                budget,
-            );
-            cached(env, &key, || {
-                let mut predictor = lineup[p].clone();
-                let mut reader =
-                    BtReader::new(rec.bt.as_slice()).expect("trace passed the integrity gate");
-                run_cycles_trace(&mut reader, &mut predictor, &cycle_cfg(env, &rec.bench))
-            })
+            let cell = trace_cycle_cell(&lineup[p], &rec.bench, rec.bt_fnv1a, budget, || &rec.bt);
+            cached(env, cell).0
         });
     failures.extend(fails);
     let hyb_cycle_label = |_: usize, &(s, t): &(usize, usize)| {
@@ -326,17 +315,9 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
     let (hyb_cycles, fails): (Vec<Option<CycleResult>>, _) =
         try_par_map(&hyb_cells, env.threads, hyb_cycle_label, |i, &(s, t)| {
             env.fault.panic_if_scheduled(&hyb_cycle_label(i, &(s, t)));
-            let key = cycle_cell_key(&hybrids[s], &recorded[t].bench, budget);
-            cached(env, &key, || {
-                let snap =
-                    Snapshot::read_from(recorded[t].pcl.as_slice()).expect("snapshot round-trips");
-                let mut hybrid = hybrids[s].build();
-                run_cycles(
-                    &snap.program,
-                    &mut hybrid,
-                    &cycle_cfg(env, &recorded[t].bench),
-                )
-            })
+            let rec = &recorded[t];
+            let cell = cycle_cell(&hybrids[s], &rec.bench, budget, || snapshot_program(rec));
+            cached(env, cell).0
         });
     failures.extend(fails);
 

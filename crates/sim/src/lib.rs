@@ -31,9 +31,9 @@
 //!
 //! The grid entry points are [`experiments::common::run_matrix`] (per-cell
 //! results), [`experiments::common::run_grid`] (pooled per spec) and
-//! [`experiments::common::pooled_accuracy`]; every figure/table module
-//! routes through them, so `THREADS=1` vs `THREADS=32` changes wall-clock
-//! only, never numbers.
+//! [`experiments::common::cycle_grid`] (cycle-model cells); the figure
+//! and table grids route through them, so `THREADS=1` vs `THREADS=32`
+//! changes wall-clock only, never numbers.
 //!
 //! # Running experiments
 //!

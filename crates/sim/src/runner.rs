@@ -29,9 +29,11 @@
 //! The higher-level grid entry points
 //! ([`run_matrix`](crate::experiments::common::run_matrix),
 //! [`run_grid`](crate::experiments::common::run_grid),
-//! [`pooled_accuracy_par`](crate::experiments::common::pooled_accuracy_par))
+//! [`cycle_grid`](crate::experiments::common::cycle_grid))
 //! live in [`experiments::common`](crate::experiments::common), next to
-//! the sequential reference implementations they must match bit-for-bit.
+//! the sequential reference
+//! ([`pooled_accuracy_seq`](crate::experiments::common::pooled_accuracy_seq))
+//! they must match bit-for-bit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -54,8 +54,8 @@ use replay::{record_trace, replay_bytes, ReplayConfig};
 use workloads::rng::SmallRng;
 use workloads::{Benchmark, MixProfile, Program};
 
-use crate::accuracy::{run_accuracy, run_accuracy_observed, SimConfig};
-use crate::experiments::common::{cached, tune_cell_key, ExpEnv};
+use crate::accuracy::{run_accuracy_observed, SimConfig};
+use crate::experiments::common::{accuracy_cell, cached, ExpEnv};
 use crate::metrics::AccuracyResult;
 use crate::runner::par_map;
 
@@ -606,11 +606,14 @@ fn evaluate(
     let flat = par_map(&cells, env.threads, |_, &(s, w, p)| {
         let (bench, program) = &programs[p];
         let cfg = sim_config(env, warmups[w], bench.seed);
-        let key = tune_cell_key(&specs[s], bench, cfg.max_uops, cfg.warmup_uops);
-        cached(env, &key, || {
-            let mut hybrid = specs[s].build();
-            run_accuracy(program, &mut hybrid, &cfg)
-        })
+        let cell = accuracy_cell(
+            &specs[s],
+            bench,
+            cfg.max_uops,
+            Some(cfg.warmup_uops),
+            || program,
+        );
+        cached(env, cell).0
     });
     let mut it = flat.into_iter();
     (0..specs.len())

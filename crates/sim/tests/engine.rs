@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use predictors::DirectionPredictor;
 use prophet_critic::{Budget, CriticKind, HybridSpec, ProphetKind};
-use sim::experiments::common::{
-    pooled_accuracy_par, pooled_accuracy_seq, run_grid, run_matrix, ExpEnv,
-};
+use sim::experiments::common::{pooled_accuracy_seq, run_grid, run_matrix, ExpEnv};
 use sim::experiments::headline;
 use sim::CellStore;
 
@@ -58,10 +56,14 @@ fn parallel_grid_is_bit_identical_to_sequential() {
     for spec in specs() {
         let sequential = pooled_accuracy_seq(&spec, &programs, &env);
         for threads in [1, 2, 3, 8] {
-            let parallel = pooled_accuracy_par(&spec, &programs, &env, threads);
+            let parallel = run_grid(
+                std::slice::from_ref(&spec),
+                &programs,
+                &env.clone().with_threads(threads),
+            );
             assert_eq!(
                 parallel,
-                sequential,
+                std::slice::from_ref(&sequential),
                 "{}: {threads}-thread grid diverged from sequential",
                 spec.label()
             );

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use prophet_critic::HybridSpec;
-use sim::experiments::common::{pooled_accuracy, ExpEnv};
+use sim::experiments::common::{run_grid, ExpEnv};
 use sim::experiments::tune::report_json;
 use sim::json::{self, Json};
 use sim::tune::{h2p_slices, run_search, untuned_default, H2pObjective, TuneOptions, TuneSpace};
@@ -301,8 +301,13 @@ fn tuned_preset_beats_untuned_default_on_pooled_fast_set() {
         ..ExpEnv::tiny()
     };
     let programs = e.programs();
-    let tuned = pooled_accuracy(&HybridSpec::tuned_headline(), &programs, &e);
-    let untuned = pooled_accuracy(&untuned_default(), &programs, &e);
+    let [tuned, untuned] = run_grid(
+        &[HybridSpec::tuned_headline(), untuned_default()],
+        &programs,
+        &e,
+    )
+    .try_into()
+    .expect("one pooled result per spec");
     assert!(
         tuned.misp_per_kuops() < untuned.misp_per_kuops(),
         "tuned preset must beat the untuned 8+8 default: {:.3} vs {:.3} misp/Kuops",
