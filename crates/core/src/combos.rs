@@ -10,7 +10,7 @@
 use predictors::configs::{self, Budget};
 
 use crate::critic::{
-    FilteredPerceptronCritic, NullCritic, TageCritic, TaggedGshareCritic, UnfilteredCritic,
+    Critic, FilteredPerceptronCritic, NullCritic, TageCritic, TaggedGshareCritic, UnfilteredCritic,
 };
 use crate::dispatch::{AnyCritic, AnyProphet};
 use crate::hybrid::ProphetCritic;
@@ -287,6 +287,15 @@ impl HybridSpec {
         )
     }
 
+    /// The most future bits this spec's critic can hold: its BOR length,
+    /// the bound [`ProphetCritic::new`] asserts (0 for
+    /// [`CriticKind::None`], whose spec waits for none). Builds the critic
+    /// to ask it.
+    #[must_use]
+    pub fn max_future_bits(&self) -> usize {
+        self.critic.build(self.critic_budget).bor_len()
+    }
+
     /// A display label like `8KB perceptron + 8KB t.gshare (8 fb)` (with
     /// a `, conf` marker when the override-confidence threshold is on).
     #[must_use]
@@ -395,5 +404,25 @@ mod tests {
         assert_eq!(spec.label(), "8KB perceptron + 8KB t.gshare (8 fb)");
         let alone = HybridSpec::alone(ProphetKind::Gshare, Budget::K16);
         assert_eq!(alone.label(), "16KB gshare alone");
+    }
+
+    #[test]
+    fn every_critic_builds_at_its_max_future_bits() {
+        for critic in CriticKind::ALL {
+            for budget in Budget::ALL {
+                let mut spec = HybridSpec::paired(ProphetKind::Gshare, budget, critic, budget, 0);
+                spec.future_bits = spec.max_future_bits();
+                assert_eq!(spec.build().future_bits(), spec.future_bits, "{spec}");
+            }
+        }
+        // The tagged gshare's BOR is 18 bits at every budget.
+        let tgshare = HybridSpec::paired(
+            ProphetKind::Gshare,
+            Budget::K8,
+            CriticKind::TaggedGshare,
+            Budget::K32,
+            1,
+        );
+        assert_eq!(tgshare.max_future_bits(), 18);
     }
 }

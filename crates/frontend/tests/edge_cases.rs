@@ -1,118 +1,7 @@
-//! Edge-case coverage for the front-end structures: FTQ criticize/flush
-//! behaviour on wrapped and full queues, and BTB conflict-eviction
-//! paths.
+//! Edge-case coverage for the BTB's conflict-eviction paths.
 
-use frontend::{Btb, Ftq};
-use predictors::{Bimodal, Pc};
-use prophet_critic::{BranchId, NullCritic, ProphetCritic};
-
-/// Mints `n` BranchIds (only an engine can create them).
-fn ids(n: usize) -> Vec<BranchId> {
-    let mut h = ProphetCritic::new(Bimodal::new(64), NullCritic::new(), 0);
-    (0..n)
-        .map(|i| h.predict(Pc::new(0x1000 + i as u64 * 4)).id)
-        .collect()
-}
-
-/// Drives the FTQ's internal ring buffer around its seam: push to
-/// capacity, consume a few, push again — the live region now wraps.
-fn wrapped_ftq(capacity: usize, consumed: usize, ids: &[BranchId]) -> Ftq {
-    let mut ftq = Ftq::new(capacity);
-    for id in &ids[..capacity] {
-        ftq.push(*id, Pc::new(0x100), true);
-    }
-    for _ in 0..consumed {
-        ftq.consume().unwrap();
-    }
-    for id in &ids[capacity..] {
-        ftq.push(*id, Pc::new(0x200), false);
-    }
-    ftq
-}
-
-#[test]
-fn criticize_finds_entries_across_the_wrap_seam() {
-    let ids = ids(7);
-    // Capacity 5, consume 2, push 2 more: live entries are ids[2..7],
-    // physically split across the ring seam.
-    let mut ftq = wrapped_ftq(5, 2, &ids);
-    assert!(ftq.is_full());
-    for (i, id) in ids[2..7].iter().enumerate() {
-        assert!(ftq.criticize(*id, i % 2 == 0), "entry {i} reachable");
-    }
-    assert!(ftq.iter().all(|e| e.criticized));
-    // Overridden directions recorded per entry, wrap or not.
-    let dirs: Vec<bool> = ftq.iter().map(|e| e.taken).collect();
-    assert_eq!(dirs, vec![true, false, true, false, true]);
-    // Consumed entries are gone: criticizing them reports downstream.
-    assert!(!ftq.criticize(ids[0], true));
-    assert!(!ftq.criticize(ids[1], true));
-}
-
-#[test]
-fn flush_younger_than_on_a_wrapped_full_queue() {
-    let ids = ids(8);
-    // Capacity 6, consume 2, push 2: live = ids[2..8], wrapped, full.
-    let mut ftq = wrapped_ftq(6, 2, &ids);
-    assert!(ftq.is_full());
-    let dropped = ftq.flush_younger_than(ids[4]);
-    assert_eq!(dropped, 3, "ids[5..8] flushed");
-    let remaining: Vec<BranchId> = ftq.iter().map(|e| e.id).collect();
-    assert_eq!(remaining, vec![ids[2], ids[3], ids[4]]);
-    // The freed space is immediately reusable without overfill panics.
-    assert!(!ftq.is_full());
-    let fresh = self::ids(3);
-    for id in &fresh {
-        ftq.push(*id, Pc::new(0x300), true);
-    }
-    assert!(ftq.is_full());
-}
-
-#[test]
-fn flush_younger_than_an_already_consumed_id_drops_everything() {
-    let ids = ids(5);
-    let mut ftq = wrapped_ftq(4, 2, &ids);
-    // ids[0] left the queue already; every live entry is younger.
-    let live = ftq.len();
-    assert_eq!(ftq.flush_younger_than(ids[0]), live);
-    assert!(ftq.is_empty());
-    // Flushing an empty queue is a no-op.
-    assert_eq!(ftq.flush_younger_than(ids[0]), 0);
-}
-
-#[test]
-fn flush_younger_than_the_tail_drops_nothing() {
-    let ids = ids(4);
-    let mut ftq = Ftq::new(4);
-    for id in &ids {
-        ftq.push(*id, Pc::new(0x400), true);
-    }
-    assert_eq!(ftq.flush_younger_than(ids[3]), 0);
-    assert_eq!(ftq.len(), 4);
-}
-
-#[test]
-fn empty_rate_tracks_wrapped_consume_cycles() {
-    let ids = ids(6);
-    let mut ftq = Ftq::new(3);
-    let mut pushed = 0;
-    // Interleave pushes and consumes so the ring wraps twice; every
-    // consume finds an entry, so the empty rate stays zero.
-    for chunk in ids.chunks(2) {
-        for id in chunk {
-            ftq.push(*id, Pc::new(0x500), true);
-            pushed += 1;
-        }
-        ftq.consume().unwrap();
-        ftq.consume().unwrap();
-    }
-    assert_eq!(pushed, 6);
-    assert!(ftq.is_empty());
-    assert!((ftq.empty_rate() - 0.0).abs() < 1e-12);
-    // One starved consume shows up in the rate.
-    assert!(ftq.consume().is_none());
-    assert!((ftq.empty_rate() - 1.0 / 7.0).abs() < 1e-12);
-}
+use frontend::Btb;
+use predictors::Pc;
 
 /// PCs that collide in one set of a 2-set, 2-way BTB: the set index is
 /// taken from the word address (`pc >> 2`), so stepping by

@@ -160,9 +160,10 @@ fn parse_budget(v: &Json, field: &str) -> Result<Budget, HttpError> {
 }
 
 /// Parses a hybrid spec object: `prophet` + `prophet_budget` required;
-/// `critic` (default `none`), `critic_budget`, `future_bits` (default 8)
-/// and `confident_override` (default false) optional. Kinds are matched
-/// against the workspace's display labels, case-insensitively.
+/// `critic` (default `none`), `critic_budget`, `future_bits` (default 8,
+/// at most what the critic's BOR holds) and `confident_override`
+/// (default false) optional. Kinds are matched against the workspace's
+/// display labels, case-insensitively.
 fn parse_spec(v: &Json) -> Result<HybridSpec, HttpError> {
     let prophet_name = v
         .get("prophet")
@@ -188,10 +189,9 @@ fn parse_spec(v: &Json) -> Result<HybridSpec, HttpError> {
         None => 8,
         Some(fb) => fb
             .as_u64()
-            .filter(|&n| (1..=64).contains(&n))
-            .ok_or_else(|| {
-                HttpError::bad_request("spec.future_bits must be an integer in 1..=64")
-            })? as usize,
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| HttpError::bad_request("spec.future_bits must be an integer >= 1"))?
+            as usize,
     };
     let confident = match v.get("confident_override") {
         None => false,
@@ -203,7 +203,15 @@ fn parse_spec(v: &Json) -> Result<HybridSpec, HttpError> {
         HybridSpec::alone(prophet, prophet_budget)
     } else {
         let critic_budget = parse_budget(v, "critic_budget")?;
-        HybridSpec::paired(prophet, prophet_budget, critic, critic_budget, future_bits)
+        let spec = HybridSpec::paired(prophet, prophet_budget, critic, critic_budget, future_bits);
+        let max = spec.max_future_bits();
+        if future_bits > max {
+            return Err(HttpError::bad_request(format!(
+                "spec.future_bits: {critic_budget} {critic} holds at most {max} future bits, \
+                 not {future_bits}"
+            )));
+        }
+        spec
     };
     Ok(spec.with_confident_override(confident))
 }
@@ -809,6 +817,8 @@ mod tests {
             "{\"prophet\": \"gshare\"}",
             "{\"prophet\": \"gshare\", \"prophet_budget\": \"8KB\", \"critic\": \"t.gshare\"}",
             "{\"prophet\": \"gshare\", \"prophet_budget\": \"8KB\", \"future_bits\": 0}",
+            "{\"prophet\": \"gshare\", \"prophet_budget\": \"8KB\", \"critic\": \"t.gshare\", \
+             \"critic_budget\": \"8KB\", \"future_bits\": 19}",
         ] {
             let doc = json::parse(bad.as_bytes()).unwrap();
             assert!(parse_spec(&doc).is_err(), "{bad}");

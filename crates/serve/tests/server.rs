@@ -381,6 +381,16 @@ fn corpus_endpoints_replay_and_cache() {
           \"critic\": \"t.gshare\", \"critic_budget\": \"8KB\"}}",
     );
     assert_eq!(again.header("x-cache"), Some("hit"));
+    // Hybrid entrants parse like /v1/predict specs: more future bits
+    // than the critic's BOR holds is a 400, not a panicked cell.
+    let too_deep = post(
+        server.addr,
+        "/v1/tracecmp-cell",
+        "{\"trace\": \"gzip\", \"stage\": \"accuracy\", \"entrant\": \
+         {\"prophet\": \"gshare\", \"prophet_budget\": \"8KB\", \
+          \"critic\": \"t.gshare\", \"critic_budget\": \"8KB\", \"future_bits\": 40}}",
+    );
+    assert_eq!(too_deep.status, 400);
 
     // Unknown trace and quarantine-free corpus behave.
     let missing = post(
@@ -450,6 +460,42 @@ fn malformed_requests_get_4xx_and_never_kill_the_server() {
         .unwrap();
     assert!(errors >= 8, "client errors recorded: {errors}");
 
+    server.shutdown();
+}
+
+#[test]
+fn future_bits_beyond_the_critic_bor_get_400_naming_the_limit() {
+    let server = TestServer::start(ServeConfig::ephemeral(tiny_env()));
+    let spec = |future_bits: u32| {
+        format!(
+            "{{\"benchmarks\": [\"gzip\"], \"spec\": {{\"prophet\": \"gshare\", \
+             \"prophet_budget\": \"8KB\", \"critic\": \"t.gshare\", \
+             \"critic_budget\": \"8KB\", \"future_bits\": {future_bits}}}}}"
+        )
+    };
+
+    // The tagged gshare's BOR holds 18 future bits at every budget.
+    let over = post(server.addr, "/v1/predict", &spec(40));
+    assert_eq!(over.status, 400, "{}", String::from_utf8_lossy(&over.body));
+    let error = over
+        .json()
+        .get("error")
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    assert_eq!(
+        error.as_deref(),
+        Some("spec.future_bits: 8KB t.gshare holds at most 18 future bits, not 40")
+    );
+    assert_eq!(post(server.addr, "/v1/predict", &spec(18)).status, 200);
+
+    // No cell panicked, and the server still answers.
+    let metrics = get(server.addr, "/metrics").json();
+    let failed = metrics
+        .get("cells")
+        .and_then(|c| c.get("failed"))
+        .and_then(Json::as_u64);
+    assert_eq!(failed, Some(0));
+    assert_eq!(get(server.addr, "/healthz").status, 200);
     server.shutdown();
 }
 

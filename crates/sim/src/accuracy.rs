@@ -7,42 +7,35 @@
 //! (correct-path only) instruction trace provides the critic with oracle
 //! information.”
 //!
-//! The simulator therefore drives fetch down the *predicted* path of a
-//! synthetic program:
+//! The model is [`ExecModel`], the same walker, BTB and hybrid the cycle
+//! feed drives: fetch follows the *prophecy*, wrong or not, so the
+//! prophet's predictions after a mispredict (the future bits entering
+//! the BOR) are true wrong-path bits, and an override rewinds fetch to
+//! the disputed branch and redirects it down the critic's direction.
+//! This module is an untimed driver over it, mirroring each in-flight
+//! branch's `(uops, critiqued)` as the pipeline engine does for
+//! [`run_pipeline`](crate::cycle::run_pipeline). After each fetch it
+//! drains every ready critique, then resolves and commits from the head
+//! in order.
 //!
-//! 1. The walker advances to the next branch; the BTB identifies it.
-//! 2. Identified conditionals are predicted by the hybrid; **fetch follows
-//!    the prophecy**, wrong or not, so the prophet's subsequent predictions
-//!    (the future bits entering the BOR) are true wrong-path bits after a
-//!    mispredict.
-//! 3. Critiques drain in order; a disagreement rewinds fetch to the
-//!    disputed branch and redirects it down the critic's direction.
-//! 4. Branches resolve and commit in order. The accuracy model resolves a
-//!    branch as soon as it has been critiqued. That is *not* what the real
-//!    machine does, and the counts differ. The cycle feed
-//!    ([`crate::cycle`]) resolves the head only once the fetch clock
-//!    passes its resolve time, so its wrong paths run until the branch
-//!    executes rather than only as far as the critic's future bits, and
-//!    every branch trains the tables later. On the same program, seed and
-//!    budget the two engines' mispredict counts differ by 4–12 % even
-//!    with no critic (`tests/engine_gap.rs`, ignored until one engine
-//!    remains). This engine is the cheap estimate; uPC comes from the
-//!    cycle feed.
-//!
-//! BTB misses are modelled as the paper describes — the branch is not
-//! predicted, and an entry is allocated at commit — with one documented
-//! simplification: the fall-through fetch between a missed taken branch and
-//! its resolution is not walked (it costs fetch *time*, charged by the
-//! cycle model, but produces no future bits, since the prophet never saw
-//! the branch).
+//! The two drivers differ only in when the head may resolve. This one
+//! resolves it as soon as it has been critiqued. That is *not* what the
+//! real machine does, and the counts differ. `run_pipeline` resolves the
+//! head only once the fetch clock passes its resolve time, so its wrong
+//! paths run until the branch executes rather than only as far as the
+//! critic's future bits, and every branch trains the tables later. On
+//! the same program, seed and budget the two engines' mispredict counts
+//! differ by 4–12 % even with no critic (`tests/engine_gap.rs`, ignored
+//! until one engine remains). This engine is the cheap estimate; uPC
+//! comes from the cycle feed.
 
 use std::collections::VecDeque;
 
-use frontend::Btb;
-use predictors::{DirectionPredictor, Pc};
-use prophet_critic::{BranchId, Critic, CritiqueStats, ProphetCritic};
-use workloads::{Checkpoint, Program, Walker};
+use predictors::DirectionPredictor;
+use prophet_critic::{Critic, ProphetCritic, ResolveEvent};
+use workloads::Program;
 
+use crate::cycle::{Critique, CycleConfig, ExecModel, PipelineModel};
 use crate::metrics::AccuracyResult;
 
 /// Budget and measurement window of one simulation run.
@@ -80,32 +73,15 @@ impl Default for SimConfig {
 }
 
 /// Maximum predicted-but-uncommitted branches the front end may buffer:
-/// the 32-entry FTQ plus pipeline slack. When the bound is hit, the oldest
-/// branch is critiqued with the future bits available (§5: “we obtained the
-/// best results by generating a critique using the future bits that were
-/// available”), exactly as the real machine forces a critique when the
-/// consumer overtakes the critic. Without this bound, a cold-BTB region
-/// (where unidentified branches produce no prophet predictions) would let
-/// fetch run arbitrarily far ahead of commit.
+/// the 32-entry FTQ plus pipeline slack (`run_pipeline` allows 64). When
+/// the bound is hit, the oldest branch is critiqued with the future bits
+/// available (§5: “we obtained the best results by generating a critique
+/// using the future bits that were available”), exactly as the real
+/// machine forces a critique when the consumer overtakes the critic.
+/// Without this bound, a cold-BTB region (where unidentified branches
+/// produce no prophet predictions) would let fetch run arbitrarily far
+/// ahead of commit.
 const INFLIGHT_CAP: usize = 48;
-
-#[derive(Copy, Clone, Debug)]
-enum InflightKind {
-    /// Identified by the BTB and predicted by the hybrid.
-    Predicted { id: BranchId, critiqued: bool },
-    /// Missed the BTB: no prediction, resolves by itself.
-    Unidentified,
-}
-
-#[derive(Copy, Clone, Debug)]
-struct SimInflight {
-    kind: InflightKind,
-    pc: u64,
-    outcome: bool,
-    taken_target: u64,
-    uops: u64,
-    checkpoint: Checkpoint,
-}
 
 /// Runs one program under one hybrid configuration.
 ///
@@ -122,11 +98,52 @@ where
     C: Critic,
 {
     // The no-op observer inlines away: this path stays the hot path.
-    run_accuracy_observed(program, hybrid, config, |_, _, _| {})
+    run_accuracy_observed(program, hybrid, config, |_| {})
 }
 
-/// [`run_accuracy`] with a per-commit observer: `observe(pc, taken,
-/// mispredict)` fires for every predicted branch committed inside the
+/// Marks a critiqued slot of the mirrored in-flight queue and, on an
+/// override, drops the squashed tail (the model has already redirected).
+fn mark(inflight: &mut VecDeque<(u64, bool)>, cr: Critique) {
+    inflight[cr.index].1 = true;
+    if cr.overridden {
+        inflight.truncate(cr.index + 1);
+    }
+}
+
+/// Resolves and commits from the head, in order, each branch as soon as
+/// it is critiqued; `commit` sees each one's uops and the hybrid's
+/// resolution (`None` for a BTB miss). With `cap` or more branches in
+/// flight, an uncritiqued head has its critique forced with the future
+/// bits gathered so far; a `cap` of 0 drains the queue.
+fn resolve_critiqued<P, C>(
+    model: &mut ExecModel<'_, '_, P, C>,
+    inflight: &mut VecDeque<(u64, bool)>,
+    cap: usize,
+    mut commit: impl FnMut(u64, Option<&ResolveEvent>),
+) where
+    P: DirectionPredictor,
+    C: Critic,
+{
+    while let Some(&(uops, critiqued)) = inflight.front() {
+        if !critiqued {
+            if inflight.len() < cap {
+                break;
+            }
+            mark(inflight, model.force_critique().expect("uncritiqued head"));
+            continue;
+        }
+        let event = model.resolve();
+        commit(uops, event.as_ref());
+        if event.is_some_and(|ev| ev.mispredict) {
+            inflight.clear();
+        } else {
+            inflight.pop_front();
+        }
+    }
+}
+
+/// [`run_accuracy`] with a per-commit observer: `observe` sees the
+/// hybrid's resolution of every predicted branch committed inside the
 /// measured region, in commit order.
 ///
 /// This is how the tuner reconstructs per-static-branch mispredict
@@ -142,226 +159,60 @@ pub fn run_accuracy_observed<P, C, F>(
 where
     P: DirectionPredictor,
     C: Critic,
-    F: FnMut(u64, bool, bool),
+    F: FnMut(&ResolveEvent),
 {
-    let mut walker = Walker::with_seed(program, config.seed);
-    let mut btb = Btb::isca04();
-    // The resolve loop keeps occupancy at or below INFLIGHT_CAP; sizing
-    // the buffer once up front keeps the per-branch loop allocation-free.
-    let mut inflight: VecDeque<SimInflight> = VecDeque::with_capacity(INFLIGHT_CAP + 1);
-
+    // Table 2's BTB: 4096 entries, 4-way.
+    let mut model = ExecModel::new(program, hybrid, &CycleConfig::isca04().seed(config.seed));
+    // `(uops, critiqued)` per in-flight branch, oldest first. The resolve
+    // loop keeps occupancy at or below INFLIGHT_CAP; sizing the buffer
+    // once up front keeps the per-branch loop allocation-free.
+    let mut inflight: VecDeque<(u64, bool)> = VecDeque::with_capacity(INFLIGHT_CAP + 1);
     let mut result = AccuracyResult::new(program.name());
     let mut committed_uops: u64 = 0;
-    let mut measured = CritiqueStats::new();
-
-    // Measured-region counters.
-    let mut m_uops: u64 = 0;
-    let mut m_branches: u64 = 0;
-    let mut m_final_misp: u64 = 0;
-    let mut m_prophet_misp: u64 = 0;
-    let mut m_fetched_uops: u64 = 0;
-    let mut m_btb_redirects: u64 = 0;
-    let mut m_overrides: u64 = 0;
-    let mut m_ftq_flushed: u64 = 0;
 
     while committed_uops < config.max_uops {
         // ---- Fetch: advance to the next branch along the current path.
-        let ev = walker.next_branch();
-        let cp = walker.checkpoint();
         let measuring = committed_uops >= config.warmup_uops;
+        let chunk = model.fetch_next().expect("execution feeds never end");
+        inflight.push_back((chunk.uops, chunk.critiqued_at_fetch));
         if measuring {
-            m_fetched_uops += ev.uops;
-        }
-
-        let identified = btb.lookup(Pc::new(ev.pc)).is_some();
-        if identified {
-            let pe = hybrid.predict(Pc::new(ev.pc));
-            inflight.push_back(SimInflight {
-                kind: InflightKind::Predicted {
-                    id: pe.id,
-                    critiqued: false,
-                },
-                pc: ev.pc,
-                outcome: ev.outcome,
-                taken_target: ev.taken_target,
-                uops: ev.uops,
-                checkpoint: cp,
-            });
-            // Fetch proceeds down the prophecy — possibly the wrong path.
-            walker.follow(pe.taken);
-        } else {
-            inflight.push_back(SimInflight {
-                kind: InflightKind::Unidentified,
-                pc: ev.pc,
-                outcome: ev.outcome,
-                taken_target: ev.taken_target,
-                uops: ev.uops,
-                checkpoint: cp,
-            });
-            // Unidentified: the front end falls through; the taken case is
-            // a front-end redirect at resolve, modelled instantaneously for
-            // accuracy purposes. The discovered outcome repairs the
-            // predictor's history registers so its windows stay aligned
-            // with the outcome stream. The BTB entry is allocated at
-            // discovery (decode) rather than commit — §5 allows alternative
-            // allocation policies, and commit-time allocation interacts
-            // pathologically with the short loop-repeat counts of synthetic
-            // workloads (every iteration of a first visit would miss).
-            if ev.outcome && measuring {
-                m_btb_redirects += 1;
-            }
-            btb.allocate(Pc::new(ev.pc), ev.taken_target, true);
-            hybrid.note_external_outcome(ev.outcome);
-            walker.follow(ev.outcome);
+            result.fetched_uops += chunk.uops;
+            result.btb_redirects += u64::from(chunk.btb_redirect);
         }
 
         // ---- Critique: drain every critique that is ready.
-        while let Some(cr) = hybrid.critique_next() {
-            let idx = inflight
-                .iter()
-                .position(|r| matches!(r.kind, InflightKind::Predicted { id, .. } if id == cr.id))
-                .expect("critiqued branch is in flight");
-            if let InflightKind::Predicted { critiqued, .. } = &mut inflight[idx].kind {
-                *critiqued = true;
+        while let Some(cr) = model.critique_next() {
+            if cr.overridden && measuring {
+                result.critic_overrides += 1;
+                result.ftq_entries_flushed += (inflight.len() - cr.index - 1) as u64;
             }
-            if cr.overridden {
-                if measuring {
-                    m_overrides += 1;
-                    m_ftq_flushed += (inflight.len() - idx - 1) as u64;
-                }
-                // Squash the uncriticized tail and redirect fetch down the
-                // critic's direction at the disputed branch.
-                inflight.truncate(idx + 1);
-                walker.restore(&inflight[idx].checkpoint);
-                walker.follow(cr.final_taken);
-            }
+            mark(&mut inflight, cr);
         }
 
         // ---- Resolve & commit from the head, in order.
-        while let Some(head) = inflight.front().copied() {
-            match head.kind {
-                InflightKind::Predicted {
-                    critiqued: false, ..
-                } if inflight.len() >= INFLIGHT_CAP => {
-                    // The buffer is full: force the head's critique with the
-                    // future bits gathered so far.
-                    let cr = hybrid.force_critique_next().expect("uncritiqued head");
-                    let idx = inflight
-                        .iter()
-                        .position(
-                            |r| matches!(r.kind, InflightKind::Predicted { id, .. } if id == cr.id),
-                        )
-                        .expect("forced critique target in flight");
-                    if let InflightKind::Predicted { critiqued, .. } = &mut inflight[idx].kind {
-                        *critiqued = true;
-                    }
-                    if cr.overridden {
-                        inflight.truncate(idx + 1);
-                        walker.restore(&inflight[idx].checkpoint);
-                        walker.follow(cr.final_taken);
-                    }
-                }
-                InflightKind::Unidentified => {
-                    // Commits by itself; allocate its BTB entry at commit.
-                    btb.allocate(Pc::new(head.pc), head.taken_target, true);
-                    walker.release(&head.checkpoint);
-                    inflight.pop_front();
-                    committed_uops += head.uops;
-                    if measuring {
-                        m_uops += head.uops;
-                        m_branches += 1;
-                        // An unidentified taken branch is a (front-end)
-                        // mispredict of the implicit not-taken; it is
-                        // reported separately from predictor mispredicts,
-                        // as the BTB is identical across configurations.
-                    }
-                }
-                InflightKind::Predicted {
-                    critiqued: false, ..
-                } => break,
-                InflightKind::Predicted {
-                    id,
-                    critiqued: true,
-                } => {
-                    let res = hybrid
-                        .resolve_oldest(head.outcome)
-                        .expect("head is critiqued and in flight");
-                    debug_assert_eq!(res.id, id);
-                    btb.allocate(Pc::new(head.pc), head.taken_target, true);
-                    inflight.pop_front();
-                    committed_uops += head.uops;
-                    if measuring {
-                        m_uops += head.uops;
-                        m_branches += 1;
-                        measured.record(res.kind);
-                        m_final_misp += u64::from(res.mispredict);
-                        m_prophet_misp += u64::from(res.prophet_mispredict);
-                        observe(head.pc, head.outcome, res.mispredict);
-                    }
-                    if res.mispredict {
-                        // Squash everything younger and restart fetch down
-                        // the resolved outcome.
-                        inflight.clear();
-                        walker.restore(&head.checkpoint);
-                        walker.follow(head.outcome);
-                    }
-                    walker.release(&head.checkpoint);
+        resolve_critiqued(&mut model, &mut inflight, INFLIGHT_CAP, |uops, event| {
+            committed_uops += uops;
+            if measuring {
+                result.committed_uops += uops;
+                result.committed_branches += 1;
+                // A BTB-miss head has no event. Its taken case is a
+                // front-end redirect, counted at fetch, not a predictor
+                // mispredict: the BTB is identical across configurations.
+                if let Some(ev) = event {
+                    result.critiques.record(ev.kind);
+                    result.final_mispredicts += u64::from(ev.mispredict);
+                    result.prophet_mispredicts += u64::from(ev.prophet_mispredict);
+                    observe(ev);
                 }
             }
-        }
+        });
     }
 
     // ---- Drain: force-critique and resolve what is still in flight so the
     // run ends at a clean commit boundary.
-    while !inflight.is_empty() {
-        if let Some(head) = inflight.front().copied() {
-            match head.kind {
-                InflightKind::Unidentified => {
-                    btb.allocate(Pc::new(head.pc), head.taken_target, true);
-                    inflight.pop_front();
-                }
-                InflightKind::Predicted { critiqued, .. } => {
-                    if !critiqued {
-                        let cr = hybrid.force_critique_next().expect("head uncritiqued");
-                        let idx = inflight
-                            .iter()
-                            .position(|r| {
-                                matches!(r.kind, InflightKind::Predicted { id, .. } if id == cr.id)
-                            })
-                            .expect("forced critique target in flight");
-                        if let InflightKind::Predicted { critiqued, .. } = &mut inflight[idx].kind {
-                            *critiqued = true;
-                        }
-                        if cr.overridden {
-                            inflight.truncate(idx + 1);
-                            walker.restore(&inflight[idx].checkpoint);
-                            walker.follow(cr.final_taken);
-                        }
-                        continue;
-                    }
-                    let res = hybrid.resolve_oldest(head.outcome).expect("critiqued head");
-                    inflight.pop_front();
-                    if res.mispredict {
-                        inflight.clear();
-                        walker.restore(&head.checkpoint);
-                        walker.follow(head.outcome);
-                    }
-                    walker.release(&head.checkpoint);
-                }
-            }
-        }
-    }
+    resolve_critiqued(&mut model, &mut inflight, 0, |_, _| {});
 
-    result.committed_uops = m_uops;
-    result.committed_branches = m_branches;
-    result.final_mispredicts = m_final_misp;
-    result.prophet_mispredicts = m_prophet_misp;
-    result.fetched_uops = m_fetched_uops;
-    result.btb_redirects = m_btb_redirects;
-    result.critic_overrides = m_overrides;
-    result.ftq_entries_flushed = m_ftq_flushed;
-    result.btb_miss_rate = btb.miss_rate();
-    result.critiques = measured;
+    result.btb_miss_rate = model.btb_miss_rate();
     result
 }
 

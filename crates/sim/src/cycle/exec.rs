@@ -1,16 +1,32 @@
-//! The execution-driven feed: walker + hybrid + BTB over the pipeline
-//! engine.
+//! The execution-driven feed: walker + hybrid + BTB, the workspace's
+//! one model of fetching down the predicted path.
 //!
 //! This is the §6-faithful path: fetch follows the *prophecy*, wrong or
 //! not, so the critic's future bits really come from wrong-path fetch;
 //! override and mispredict recovery rewind the walker through its
-//! checkpoint journal exactly as the accuracy simulator does.
+//! checkpoint journal. Two drivers decide when the head may resolve:
+//! [`run_pipeline`](super::run_pipeline) once the fetch clock passes its
+//! resolve time, and the untimed [`run_accuracy`](crate::run_accuracy)
+//! as soon as it has been critiqued.
+//!
+//! BTB misses are modelled as the paper describes: the branch is not
+//! predicted, and fetch falls through. Every committed branch (re)allocates
+//! its entry; a missed one is also allocated as soon as the miss is
+//! discovered at decode. §5 allows other allocation policies, and
+//! commit-time allocation alone interacts pathologically with the short
+//! loop-repeat counts of the synthetic workloads (every iteration of a
+//! first visit would miss). The discovered outcome repairs the
+//! predictor's history registers so its windows stay aligned with the
+//! outcome stream. The fall-through fetch between a missed taken branch
+//! and its resolution is not walked: it costs fetch *time*, which the
+//! pipeline charges as a decode redirect, but produces no future bits,
+//! since the prophet never saw the branch.
 
 use std::collections::VecDeque;
 
 use frontend::Btb;
 use predictors::{DirectionPredictor, Pc};
-use prophet_critic::{BranchId, Critic, ProphetCritic};
+use prophet_critic::{BranchId, Critic, ProphetCritic, ResolveEvent};
 use workloads::{Checkpoint, Program, Walker};
 
 use super::model::{Critique, FetchChunk, PipelineModel, Resolution};
@@ -84,6 +100,44 @@ where
         self.walker.restore(&self.inflight[idx].checkpoint);
         self.walker.follow(final_taken);
     }
+
+    /// Resolves and commits the oldest in-flight branch, which must be
+    /// critiqued unless it missed the BTB. Returns the hybrid's
+    /// resolution, or `None` for a BTB miss, which the hybrid never
+    /// predicted. On a mispredict everything younger is squashed and
+    /// fetch restarts down the resolved outcome.
+    // Both drivers resolve once per committed branch: inlined into each.
+    #[inline(always)]
+    pub(crate) fn resolve(&mut self) -> Option<ResolveEvent> {
+        let head = *self
+            .inflight
+            .front()
+            .expect("resolve with a branch in flight");
+        let event = head.id.map(|_| {
+            self.hybrid
+                .resolve_oldest(head.outcome)
+                .expect("critiqued head resolves")
+        });
+        if event.is_some_and(|ev| ev.mispredict) {
+            self.inflight.clear();
+            self.critiqued = 0;
+            self.walker.restore(&head.checkpoint);
+            self.walker.follow(head.outcome);
+        } else {
+            self.inflight.pop_front();
+            // A BTB-miss head may be older than every critiqued branch.
+            self.critiqued = self.critiqued.saturating_sub(1);
+        }
+        self.btb.allocate(Pc::new(head.pc), head.taken_target, true);
+        self.walker.release(&head.checkpoint);
+        event
+    }
+
+    /// The BTB's miss rate over every fetch so far.
+    #[must_use]
+    pub(crate) fn btb_miss_rate(&self) -> f64 {
+        self.btb.miss_rate()
+    }
 }
 
 impl<P, C> PipelineModel for ExecModel<'_, '_, P, C>
@@ -91,6 +145,8 @@ where
     P: DirectionPredictor,
     C: Critic,
 {
+    // Both drivers fetch once per branch: inlined into each.
+    #[inline(always)]
     fn fetch_next(&mut self) -> Option<FetchChunk> {
         let ev = self.walker.next_branch();
         let cp = self.walker.checkpoint();
@@ -120,8 +176,8 @@ where
                 taken_target: ev.taken_target,
                 checkpoint: cp,
             });
-            // Decode-time BTB allocation (see the accuracy model); the
-            // discovered outcome repairs the predictor's history windows.
+            // Decode-time BTB allocation; the discovered outcome repairs
+            // the predictor's history windows (see the module header).
             self.btb.allocate(Pc::new(ev.pc), ev.taken_target, true);
             self.hybrid.note_external_outcome(ev.outcome);
             self.walker.follow(ev.outcome);
@@ -159,30 +215,8 @@ where
     }
 
     fn resolve_head(&mut self) -> Resolution {
-        let head = *self
-            .inflight
-            .front()
-            .expect("resolve with a branch in flight");
-        let mispredict = head.id.is_some()
-            && self
-                .hybrid
-                .resolve_oldest(head.outcome)
-                .expect("critiqued head resolves")
-                .mispredict;
-        if mispredict {
-            // Squash everything younger and restart fetch down the
-            // resolved outcome.
-            self.inflight.clear();
-            self.critiqued = 0;
-            self.walker.restore(&head.checkpoint);
-            self.walker.follow(head.outcome);
-        } else {
-            self.inflight.pop_front();
-            // A BTB-miss head may be older than every critiqued branch.
-            self.critiqued = self.critiqued.saturating_sub(1);
+        Resolution {
+            mispredict: self.resolve().is_some_and(|ev| ev.mispredict),
         }
-        self.btb.allocate(Pc::new(head.pc), head.taken_target, true);
-        self.walker.release(&head.checkpoint);
-        Resolution { mispredict }
     }
 }

@@ -16,7 +16,8 @@
 //!   path, which critiques override, which branches mispredict. Two
 //!   implementations feed the same engine: [`ExecModel`] drives the
 //!   execution-driven core (wrong-path fetch via `workloads::Walker`
-//!   checkpoints — the §6 requirement for hybrids) and [`TraceModel`]
+//!   checkpoints — the §6 requirement for hybrids; `run_accuracy` drives
+//!   the same model untimed) and [`TraceModel`]
 //!   replays a recorded `.bt` corpus stream through a conventional
 //!   predictor (the CBP-style path, giving `experiments tracecmp` its uPC
 //!   column).

@@ -78,8 +78,10 @@ pub trait PipelineModel {
 }
 
 /// Speculation bound: how many in-flight branches the driver tolerates
-/// before forcing the oldest critique, as a multiple of the FTQ size
-/// (matching the accuracy model's cap of FTQ + pipeline slack).
+/// before forcing the oldest critique, as a multiple of the FTQ size:
+/// 64 on Table 2's 32-entry FTQ. The untimed accuracy driver caps at 48
+/// instead (the FTQ plus pipeline slack), so the two force critiques at
+/// different depths.
 const INFLIGHT_FTQ_MULTIPLE: usize = 2;
 
 /// Drives `model` through the stage-accurate pipeline engine until the

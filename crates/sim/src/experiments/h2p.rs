@@ -183,16 +183,11 @@ fn h2p_one_bench(
         // Hybrid: re-execution with the per-commit observer.
         let mut hyb_by_pc: HashMap<u64, u64> = HashMap::new();
         let mut hybrid = spec.build();
-        let _ = run_accuracy_observed(
-            program,
-            &mut hybrid,
-            &env.sim_config(bench.seed),
-            |pc, _, misp| {
-                if misp {
-                    *hyb_by_pc.entry(pc).or_insert(0) += 1;
-                }
-            },
-        );
+        let _ = run_accuracy_observed(program, &mut hybrid, &env.sim_config(bench.seed), |ev| {
+            if ev.mispredict {
+                *hyb_by_pc.entry(ev.pc.addr()).or_insert(0) += 1;
+            }
+        });
 
         // Allocator ablation: the same 16 KB TAGE with and without the
         // Bullseye-style H2P allocator, the allocator seeded from the
@@ -206,16 +201,11 @@ fn h2p_one_bench(
                 prophet_critic::NullCritic::new(),
                 0,
             );
-            let _ = run_accuracy_observed(
-                program,
-                &mut alone,
-                &env.sim_config(bench.seed),
-                |pc, _, misp| {
-                    if misp && h2p_set.contains(&pc) {
-                        misp_sum += 1;
-                    }
-                },
-            );
+            let _ = run_accuracy_observed(program, &mut alone, &env.sim_config(bench.seed), |ev| {
+                if ev.mispredict && h2p_set.contains(&ev.pc.addr()) {
+                    misp_sum += 1;
+                }
+            });
             misp_sum
         };
         let tage_misp = slice_misp_on(configs::tage(Budget::K16));

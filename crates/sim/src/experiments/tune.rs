@@ -24,8 +24,8 @@ use crate::experiments::common::ExpEnv;
 use crate::json::escape;
 use crate::table::{f2, pct, Table};
 use crate::tune::{
-    baseline_spec, h2p_slices, run_search_on, untuned_default, H2pObjective, H2pSlice, TuneCell,
-    TuneOptions, TuneOutcome, TuneSpace,
+    baseline_spec, h2p_slices, run_search, untuned_default, H2pObjective, H2pSlice, TuneCell,
+    TuneOutcome, TuneSpace,
 };
 
 /// Default path of the machine-readable tuning report.
@@ -342,7 +342,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
     space.h2p = h2p_objective_from_env(env);
     // One program synthesis for both the search and the H2P slice pass.
     let programs = env.programs();
-    let outcome = run_search_on(&space, env, &TuneOptions::default(), &programs);
+    let outcome = run_search(&space, env, &programs);
 
     let slices = match outcome.winner() {
         Some(winner) => {

@@ -4,11 +4,16 @@
 //!
 //! # Simulators
 //!
-//! * [`run_accuracy`] — the fast accuracy model with full wrong-path fetch
-//!   (the paper's §6 requirement), producing misp/Kuops, critique
+//! Both drive one execution-driven model, [`ExecModel`]: the walker,
+//! BTB and hybrid with full wrong-path fetch (the paper's §6
+//! requirement). They differ only in when the oldest branch resolves.
+//!
+//! * [`run_accuracy`] — the fast, untimed driver: a branch resolves as
+//!   soon as it is critiqued. It produces misp/Kuops, critique
 //!   distributions and filter rates.
-//! * [`run_cycles`] — the cycle-level model on the Table 2 machine,
-//!   producing uPC, flush distances and fetched-uop counts.
+//! * [`run_cycles`] — the cycle-level driver on the Table 2 machine: a
+//!   branch resolves once the fetch clock passes its resolve time. It
+//!   produces uPC, flush distances and fetched-uop counts.
 //!
 //! # The experiment engine
 //!

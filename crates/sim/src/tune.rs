@@ -426,28 +426,15 @@ impl TuneSpace {
     }
 }
 
-/// Search-strategy knobs (all deterministic).
-#[derive(Copy, Clone, Debug)]
-pub struct TuneOptions {
-    /// Frontier size carried into each refinement round.
-    pub frontier: usize,
-    /// Refinement rounds after the coarse grid.
-    pub rounds: usize,
-    /// Cap on new candidates per refinement round; oversized neighbour
-    /// sets are subsampled with [`workloads::rng`] under the fixed
-    /// search seed.
-    pub round_cap: usize,
-}
+/// Frontier size carried into each refinement round.
+const FRONTIER: usize = 3;
 
-impl Default for TuneOptions {
-    fn default() -> Self {
-        Self {
-            frontier: 3,
-            rounds: 2,
-            round_cap: 24,
-        }
-    }
-}
+/// Refinement rounds after the coarse grid.
+const ROUNDS: usize = 2;
+
+/// Cap on new candidates per refinement round; oversized neighbour sets
+/// are subsampled with [`workloads::rng`] under the fixed search seed.
+const ROUND_CAP: usize = 24;
 
 /// How one candidate scored under one scenario.
 #[derive(Clone, PartialEq, Debug)]
@@ -692,19 +679,15 @@ pub fn score(
 /// the current frontier's one-step neighbours, skipping anything already
 /// evaluated, until the round budget or the neighbour supply runs out.
 /// Deterministic for any `env.threads`.
+///
+/// `programs` are the environment's benchmark programs
+/// ([`ExpEnv::programs`]), taken already synthesized so callers that need
+/// them again afterwards (the H2P slice pass) don't pay for benchmark
+/// synthesis twice.
 #[must_use]
-pub fn run_search(space: &TuneSpace, env: &ExpEnv, opts: &TuneOptions) -> TuneOutcome {
-    run_search_on(space, env, opts, &env.programs())
-}
-
-/// [`run_search`] over an already-synthesized program set, so callers
-/// that need the programs again afterwards (the H2P slice pass) don't
-/// pay for benchmark synthesis twice.
-#[must_use]
-pub fn run_search_on(
+pub fn run_search(
     space: &TuneSpace,
     env: &ExpEnv,
-    opts: &TuneOptions,
     programs: &[(Benchmark, Program)],
 ) -> TuneOutcome {
     let benches: Vec<Benchmark> = programs.iter().map(|(b, _)| b.clone()).collect();
@@ -749,15 +732,11 @@ pub fn run_search_on(
 
     // ---- Stages 1..: local refinement around the frontier.
     let mut rng = SmallRng::seed_from_u64(SEARCH_SEED);
-    for round in 1..=opts.rounds {
+    for round in 1..=ROUNDS {
         let mut frontier: Vec<HybridSpec> = {
             let mut ranked: Vec<&TuneCell> = evaluated.iter().collect();
             ranked.sort_by(|a, b| rank_order(a, b));
-            ranked
-                .into_iter()
-                .take(opts.frontier)
-                .map(|c| c.spec)
-                .collect()
+            ranked.into_iter().take(FRONTIER).map(|c| c.spec).collect()
         };
         frontier.sort_unstable_by_key(HybridSpec::label);
         let mut batch: Vec<HybridSpec> = Vec::new();
@@ -770,7 +749,7 @@ pub fn run_search_on(
         }
         // Deterministically subsample an oversized round: the only
         // randomness in the search, under a fixed seed.
-        while batch.len() > opts.round_cap {
+        while batch.len() > ROUND_CAP {
             let drop = rng.gen_range(0..batch.len());
             batch.remove(drop);
         }
@@ -884,9 +863,9 @@ pub fn h2p_slices(
         let slice_misp = |spec: &HybridSpec| -> u64 {
             let mut per_pc: HashMap<u64, u64> = HashMap::new();
             let mut hybrid = spec.build();
-            let _ = run_accuracy_observed(program, &mut hybrid, &cfg, |pc, _, misp| {
-                if misp {
-                    *per_pc.entry(pc).or_insert(0) += 1;
+            let _ = run_accuracy_observed(program, &mut hybrid, &cfg, |ev| {
+                if ev.mispredict {
+                    *per_pc.entry(ev.pc.addr()).or_insert(0) += 1;
                 }
             });
             per_pc

@@ -3,11 +3,12 @@
 //! small-budget reference runs are pinned byte-for-byte so that *any*
 //! unintended change to the timing model (a reordered float add, a new
 //! stall term, a different recovery path) fails loudly instead of
-//! silently shifting every uPC figure.
+//! silently shifting every uPC figure. The untimed accuracy driver over
+//! the same execution model is byte-pinned here too.
 
 use prophet_critic::{Budget, CriticKind, HybridSpec, ProphetKind};
 use sim::experiments::common::{cycle_grid, representatives, ExpEnv};
-use sim::{run_cycles, run_cycles_trace, CycleConfig};
+use sim::{run_accuracy_observed, run_cycles, run_cycles_trace, CycleConfig, SimConfig};
 use uarch::DataProfile;
 
 fn tiny() -> ExpEnv {
@@ -222,4 +223,121 @@ fn trace_fed_cycle_result_is_byte_pinned() {
                 window_full: 16387.499999998745, redirect: 64.0, \
                 flush_restart: 424.0 } }";
     assert_eq!(got, want, "\nactual:\n{got}\n");
+}
+
+/// One accuracy-engine reference run at 60 K uops: the full `Debug` of
+/// the result, the hybrid's whole-run critique stats (which cover the
+/// end-of-run drain) and an order-sensitive checksum of the per-commit
+/// observer's `(pc, mispredict)` stream.
+fn accuracy_pin(bench: &str, spec: HybridSpec, warmup_uops: u64) -> String {
+    let bench = workloads::benchmark(bench).unwrap();
+    let program = bench.program();
+    let mut hybrid = spec.build();
+    let config = SimConfig {
+        max_uops: 60_000,
+        warmup_uops,
+        seed: bench.seed,
+    };
+    let (mut commits, mut sum) = (0u64, 0u64);
+    let r = run_accuracy_observed(&program, &mut hybrid, &config, |ev| {
+        commits += 1;
+        sum = (sum ^ (ev.pc.addr() << 1 | u64::from(ev.mispredict))).wrapping_mul(0x100_0000_01B3);
+    });
+    format!(
+        "{r:?} stats: {:?} observed: {commits} {sum:#018x}",
+        hybrid.stats()
+    )
+}
+
+/// The accuracy engine's byte pins, one cell per kind of run: a prophet
+/// alone, `tuned_headline`, a 0-future-bit pair, a run with no warm-up,
+/// and a 56-future-bit critic, the only kind of spec that fills the
+/// 48-branch in-flight buffer and so forces critiques (every one of its
+/// critiques is forced, hence its 0 overrides).
+#[test]
+fn accuracy_results_are_byte_pinned() {
+    let cells = [
+        (
+            "gzip",
+            HybridSpec::alone(ProphetKind::BcGskew, Budget::K16),
+            12_000,
+            "AccuracyResult { benchmark: \"gzip\", committed_uops: 47998, \
+             committed_branches: 7598, final_mispredicts: 433, prophet_mispredicts: 433, \
+             fetched_uops: 47998, btb_redirects: 83, critic_overrides: 0, \
+             ftq_entries_flushed: 0, btb_miss_rate: 0.030889664656722732, \
+             critiques: CritiqueStats { counts: [0, 0, 0, 0, 6981, 433] } } \
+             stats: CritiqueStats { counts: [0, 0, 0, 0, 8637, 524] } \
+             observed: 7414 0x214411b574d566b9",
+        ),
+        (
+            "gcc",
+            HybridSpec::tuned_headline(),
+            12_000,
+            "AccuracyResult { benchmark: \"gcc\", committed_uops: 48004, \
+             committed_branches: 9386, final_mispredicts: 597, prophet_mispredicts: 598, \
+             fetched_uops: 48004, btb_redirects: 132, critic_overrides: 9, \
+             ftq_entries_flushed: 0, btb_miss_rate: 0.06351236146632566, \
+             critiques: CritiqueStats { counts: [398, 5, 128, 4, 7980, 465] } } \
+             stats: CritiqueStats { counts: [427, 5, 142, 4, 9713, 694] } \
+             observed: 8980 0x9060c5b49fc1d31d",
+        ),
+        (
+            "vpr",
+            HybridSpec::paired(
+                ProphetKind::Perceptron,
+                Budget::K8,
+                CriticKind::TaggedGshare,
+                Budget::K8,
+                0,
+            ),
+            12_000,
+            "AccuracyResult { benchmark: \"vpr\", committed_uops: 47998, \
+             committed_branches: 7632, final_mispredicts: 580, prophet_mispredicts: 655, \
+             fetched_uops: 47998, btb_redirects: 66, critic_overrides: 187, \
+             ftq_entries_flushed: 0, btb_miss_rate: 0.028817248885663938, \
+             critiques: CritiqueStats { counts: [1039, 131, 61, 56, 5720, 463] } } \
+             stats: CritiqueStats { counts: [1211, 160, 64, 62, 7234, 638] } \
+             observed: 7470 0xac0b014c401a2712",
+        ),
+        (
+            "mcf",
+            HybridSpec::paired(
+                ProphetKind::Gshare,
+                Budget::K8,
+                CriticKind::FilteredPerceptron,
+                Budget::K8,
+                8,
+            ),
+            0,
+            "AccuracyResult { benchmark: \"mcf\", committed_uops: 60002, \
+             committed_branches: 10071, final_mispredicts: 1106, prophet_mispredicts: 1254, \
+             fetched_uops: 125291, btb_redirects: 113, critic_overrides: 368, \
+             ftq_entries_flushed: 2578, btb_miss_rate: 0.014958337516313622, \
+             critiques: CritiqueStats { counts: [687, 258, 112, 110, 8018, 884] } } \
+             stats: CritiqueStats { counts: [687, 258, 112, 110, 8025, 884] } \
+             observed: 10069 0xe96e42186ac10cfe",
+        ),
+        (
+            "tpcc",
+            HybridSpec::paired(
+                ProphetKind::Gshare,
+                Budget::K8,
+                CriticKind::UnfilteredPerceptron,
+                Budget::K32,
+                56,
+            ),
+            12_000,
+            "AccuracyResult { benchmark: \"tpcc\", committed_uops: 47994, \
+             committed_branches: 6114, final_mispredicts: 774, prophet_mispredicts: 1086, \
+             fetched_uops: 738033, btb_redirects: 37, critic_overrides: 0, \
+             ftq_entries_flushed: 0, btb_miss_rate: 0.0019869565914080152, \
+             critiques: CritiqueStats { counts: [4489, 851, 235, 539, 0, 0] } } \
+             stats: CritiqueStats { counts: [5151, 1387, 299, 807, 0, 0] } \
+             observed: 6114 0x2fc23c2c61f6d332",
+        ),
+    ];
+    for (bench, spec, warmup, want) in cells {
+        let got = accuracy_pin(bench, spec, warmup);
+        assert_eq!(got, want, "\n{bench}, {}:\nactual:\n{got}\n", spec.label());
+    }
 }

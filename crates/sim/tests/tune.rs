@@ -8,7 +8,7 @@ use prophet_critic::HybridSpec;
 use sim::experiments::common::{run_grid, ExpEnv};
 use sim::experiments::tune::report_json;
 use sim::json::{self, Json};
-use sim::tune::{h2p_slices, run_search, untuned_default, H2pObjective, TuneOptions, TuneSpace};
+use sim::tune::{h2p_slices, run_search, untuned_default, H2pObjective, TuneSpace};
 use sim::CellStore;
 
 /// Parses a whole `BENCH_tune.json` report and checks its schema.
@@ -33,13 +33,13 @@ fn env(threads: usize) -> ExpEnv {
 #[test]
 fn search_and_report_are_bit_identical_across_thread_counts() {
     let space = TuneSpace::quick();
-    let opts = TuneOptions::default();
 
     let run = |threads: usize| {
         let e = env(threads);
-        let outcome = run_search(&space, &e, &opts);
+        let programs = e.programs();
+        let outcome = run_search(&space, &e, &programs);
         let winner = outcome.winner().expect("quick space is non-empty").spec;
-        let slices = h2p_slices(&winner, &e.programs(), &e, 200);
+        let slices = h2p_slices(&winner, &programs, &e, 200);
         let json = report_json(&outcome, &slices, &e);
         (outcome, slices, json)
     };
@@ -82,13 +82,13 @@ fn h2p_weighted_search_is_thread_identical_and_leaves_payloads_alone() {
         .collect();
     let mut weighted = TuneSpace::quick();
     weighted.h2p = Some(H2pObjective::new(0.6, masses));
-    let opts = TuneOptions::default();
 
     let run = |threads: usize| {
         let e = env(threads);
-        let outcome = run_search(&weighted, &e, &opts);
+        let programs = e.programs();
+        let outcome = run_search(&weighted, &e, &programs);
         let winner = outcome.winner().expect("quick space is non-empty").spec;
-        let slices = h2p_slices(&winner, &e.programs(), &e, 200);
+        let slices = h2p_slices(&winner, &programs, &e, 200);
         let json = report_json(&outcome, &slices, &e);
         (outcome, json)
     };
@@ -108,7 +108,8 @@ fn h2p_weighted_search_is_thread_identical_and_leaves_payloads_alone() {
         .unwrap();
     assert_eq!(per_bench.len(), env(1).programs().len());
 
-    let plain = run_search(&TuneSpace::quick(), &env(2), &opts);
+    let e = env(2);
+    let plain = run_search(&TuneSpace::quick(), &e, &e.programs());
     assert_eq!(seq.ranked.len(), plain.ranked.len());
     let mut drift = 0usize;
     for cell in &seq.ranked {
@@ -215,11 +216,11 @@ fn search_resumes_from_a_warm_store_byte_identically() {
     .with_store(Arc::clone(&store));
 
     let space = TuneSpace::quick();
-    let opts = TuneOptions::default();
     let run = || {
-        let outcome = run_search(&space, &e, &opts);
+        let programs = e.programs();
+        let outcome = run_search(&space, &e, &programs);
         let winner = outcome.winner().expect("quick space is non-empty").spec;
-        let slices = h2p_slices(&winner, &e.programs(), &e, 200);
+        let slices = h2p_slices(&winner, &programs, &e, 200);
         report_json(&outcome, &slices, &e)
     };
 
@@ -250,7 +251,7 @@ fn search_resumes_from_a_warm_store_byte_identically() {
 fn staged_search_visits_coarse_grid_then_refines() {
     let space = TuneSpace::quick();
     let e = env(2);
-    let outcome = run_search(&space, &e, &TuneOptions::default());
+    let outcome = run_search(&space, &e, &e.programs());
 
     // Stage 0 is the coarse grid (plus the untuned default, injected when
     // the grid does not already contain it — quick's coarse grid does).
@@ -282,7 +283,7 @@ fn empty_space_produces_no_cells() {
     let mut space = TuneSpace::quick();
     space.future_bits.clear();
     let e = env(2);
-    let outcome = run_search(&space, &e, &TuneOptions::default());
+    let outcome = run_search(&space, &e, &e.programs());
     assert!(outcome.ranked.is_empty());
     assert!(outcome.winner().is_none());
     // No phantom stage bookkeeping for a search that never ran.
